@@ -258,6 +258,10 @@ def going_up_bound(pi_t, k):
 # cube (co)cartesianity via partition minimization
 
 
+# partition_min's subset DP costs 3^n, and a CubeSpec holds 2^n - 1 weights
+_MAX_CUBE_N = 16
+
+
 class CubeSpec:
     """Connectivity weights k_T on the nonempty subsets of n_.
 
@@ -315,8 +319,8 @@ def partition_min(spec: CubeSpec):
     partition is counted once; cost 3^n.
     """
     n = spec.n
-    if n > 16:
-        raise ValueError("partition DP limited to n <= 16")
+    if n > _MAX_CUBE_N:
+        raise ValueError("partition DP limited to n <= %d" % _MAX_CUBE_N)
     full = (1 << n) - 1
     dp = [None] * (full + 1)
     dp[0] = 0

@@ -13,9 +13,9 @@ import os
 import sys
 
 from .bounds import (
-    CubeSpec, DegreeSeq, bahran_bounds, cohomology_bounds, conf_bounds,
-    cube_cartesianity, gan_li_bounds, going_down_bounds, going_up_bound,
-    partition_min,
+    _MAX_CUBE_N, CubeSpec, DegreeSeq, bahran_bounds, cohomology_bounds,
+    conf_bounds, cube_cartesianity, gan_li_bounds, going_down_bounds,
+    going_up_bound, partition_min,
 )
 from .complexes import FIComplex, hyper_total_complex
 from .fimodule import FIModule
@@ -68,6 +68,17 @@ def _load(path, want=None):
     if want is not None and not isinstance(obj, want):
         raise _FileProblem("%s: expected a %s file" % (path, want.__name__.lower()))
     return obj
+
+
+def _count(text):
+    """argparse type of a count flag: an integer >= 0."""
+    try:
+        v = int(text)
+    except ValueError:
+        v = -1
+    if v < 0:
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return v
 
 
 def _parse_int(tok):
@@ -123,6 +134,10 @@ def _read_cube_spec(path):
         except ValueError:
             raise _FileProblem("%s: line %d: expected 'cube N', 'size S V' "
                                "or 'set i,j,... V'" % (path, no))
+        if parts[0] == "cube" and n > _MAX_CUBE_N:
+            # refused before CubeSpec builds its 2^n - 1 weights
+            raise ValueError("cube dimension %d exceeds the limit n <= %d"
+                             % (n, _MAX_CUBE_N))
     if n is None:
         raise _FileProblem("%s: missing 'cube N' header" % path)
     if bool(by_size) == bool(by_subset):
@@ -352,7 +367,7 @@ def build_parser():
 
     p = sub.add_parser("degrees", help="degree profile t_0..t_kmax")
     p.add_argument("file")
-    p.add_argument("--kmax", type=int, default=1)
+    p.add_argument("--kmax", type=_count, default=1)
     p.set_defaults(func=_cmd_degrees)
 
     p = sub.add_parser("hyper", help="hyperhomology of a complex file at a level")
@@ -415,7 +430,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-dir", default=".", dest="dump_dir",
                    help="directory for counterexample files")

@@ -10,8 +10,8 @@ as negatively graded chain complexes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from math import comb
 
 from .fimodule import (
     FIModule, shift_module, truncate, validate, validate_morphism, zero_module,
@@ -178,7 +178,7 @@ def hyper_total_complex(W: FIComplex, n) -> TotalComplexAt:
                 # vertical: del applied on each subset summand, Koszul (-1)^p
                 sgn = -1 if p % 2 else 1
                 lvl = W.diff_level(q, n - p)
-                cnt = len(list(itertools.combinations(range(n), n - p)))
+                cnt = comb(n, n - p)
                 sdim = W.module(q).dims[n - p]
                 tdim = W.module(q - 1).dims[n - p]
                 toff = tgt[(p, q - 1)]
@@ -250,7 +250,7 @@ def _cube_chain_map(V, SV, nat, n):
         k = n - q
         rows = [{} for _ in range(B.size(q))]
         lvl = nat.levels[k]
-        cnt = len(list(itertools.combinations(range(n), k)))
+        cnt = comb(n, k)
         for t in range(cnt):
             for i, r in enumerate(lvl.rows):
                 for j, v in r.items():

@@ -170,6 +170,8 @@ class DegreeProfile:
 def degrees(V: FIModule, kmax) -> DegreeProfile:
     """DegreeProfile of t_0 .. t_kmax over all levels up to the truncation."""
     N = V.truncation
+    if kmax < 0:
+        raise ValueError("kmax %d is negative" % kmax)
     if kmax > N:
         raise ValueError("kmax %d exceeds truncation %d" % (kmax, N))
     complexes = [fih_chain_complex(V, n) for n in range(N + 1)]
@@ -336,23 +338,13 @@ def filtration_layer(V: FIModule, k, free_data: Optional[FBData] = None):
     return Fk, ok
 
 
-def _truncated_fbdata(X, k):
-    dims = tuple(d if m <= k else 0 for m, d in enumerate(X.dims))
+def _layer_fbdata(X, lo, hi):
+    """X with only the cardinalities lo..hi kept, the others zero."""
+    dims = tuple(d if lo <= m <= hi else 0 for m, d in enumerate(X.dims))
     trans = None
     if X.trans is not None:
         trans = tuple(
-            tuple(X.trans[m][i] if m <= k else
-                  Matrix.zeros(X.ring, 0, 0) for i in range(max(0, m - 1)))
-            for m in range(X.truncation + 1))
-    return FBData(X.ring, X.truncation, dims, trans)
-
-
-def _single_layer_fbdata(X, k):
-    dims = tuple(d if m == k else 0 for m, d in enumerate(X.dims))
-    trans = None
-    if X.trans is not None:
-        trans = tuple(
-            tuple(X.trans[m][i] if m == k else
+            tuple(X.trans[m][i] if lo <= m <= hi else
                   Matrix.zeros(X.ring, 0, 0) for i in range(max(0, m - 1)))
             for m in range(X.truncation + 1))
     return FBData(X.ring, X.truncation, dims, trans)
@@ -374,10 +366,10 @@ def _matches_free_on(W, X):
 
 def _free_layer_checks(V, bases, k, X):
     Fk = _restrict(V, bases)
-    if not _matches_free_on(Fk, _truncated_fbdata(X, k)):
+    if not _matches_free_on(Fk, _layer_fbdata(X, 0, k)):
         return False
     if k == 0:
-        return _matches_free_on(Fk, _single_layer_fbdata(X, 0))
+        return _matches_free_on(Fk, _layer_fbdata(X, 0, 0))
     prev_bases = _generated_submodule(V, k - 1)
     Fprev = _restrict(V, prev_bases)
     incl = []
@@ -390,4 +382,4 @@ def _free_layer_checks(V, bases, k, X):
         Q = fi_coker(FIMorphism(Fprev, Fk, tuple(incl)))
     except Exception:
         return False
-    return _matches_free_on(Q, _single_layer_fbdata(X, k))
+    return _matches_free_on(Q, _layer_fbdata(X, k, k))

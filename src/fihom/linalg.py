@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 ZZ = "Z"
 QQ = "Q"
@@ -243,9 +243,6 @@ class Matrix:
                 and self.shape == other.shape
                 and all(r == s for r, s in zip(self.rows, other.rows)))
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return "Matrix(%s, %dx%d, nnz=%d)" % (self.ring, self.nrows, self.ncols, self.nnz())
 
@@ -286,66 +283,100 @@ def block_matrix(ring, row_dims, col_dims, blocks):
 
 
 def _int_rows(M):
-    """Sparse integer rows with the same row space rank as M.
+    """Sparse integer rows {i: row} with the same row space rank as M.
 
     Rational rows are cleared by their denominator lcm and every row is
     divided by its content; both are row scalings, so rank is preserved.
     """
-    out = []
-    for r in M.rows:
+    out = {}
+    for i, r in enumerate(M.rows):
         if not r:
             continue
         if M.ring == QQ:
-            mult = lcm(*(v.denominator for v in r.values())) if r else 1
+            mult = lcm(*(v.denominator for v in r.values()))
             d = {j: int(v * mult) for j, v in r.items()}
         else:
             d = dict(r)
         g = gcd(*d.values())
         if g > 1:
             d = {j: v // g for j, v in d.items()}
-        out.append(d)
+        out[i] = d
     return out
+
+
+def _eliminate(rows, units_only):
+    """Sparse elimination of integer rows {i: {j: v}}, in place.
+
+    Unit pivots come first, last found first: a row holding +-1 at column
+    j clears column j from every other row by r <- r - (r[j]*pv)*prow and
+    is dropped.  Its other entries die by column operations touching only
+    that row, so each unit pivot is one unit elementary divisor.  Unless
+    `units_only`, an empty queue lets a non-unit pivot pv (shortest row,
+    smallest entry) clear its column fraction-free, r <- (pv/g) r - (a/g) prow
+    with g = gcd(pv, a), each result divided by its content: that keeps the
+    rank, not the divisors.  Returns (pivot count, residue rows).
+    """
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    queue = [(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)]
+    count = 0
+    while True:
+        if queue:
+            pi, pj = queue.pop()
+            r = rows.get(pi)
+            if r is None or r.get(pj) not in (1, -1):
+                continue
+        elif rows and not units_only:
+            pi = min(rows, key=lambda i: len(rows[i]))
+            r = rows[pi]
+            pj = min(r, key=lambda j: abs(r[j]))
+        else:
+            return count, rows
+        pv = r[pj]
+        unit = pv in (1, -1)
+        for i in list(cols[pj]):
+            if i == pi:
+                continue
+            ri = rows[i]
+            if unit:
+                q = ri[pj] * pv  # ri - q*r zeroes column pj since pv*pv == 1
+            else:
+                g = gcd(pv, ri[pj])
+                q = ri[pj] // g
+                s = pv // g
+                if s != 1:
+                    for j in ri:
+                        ri[j] *= s
+            for j, v in r.items():
+                w = ri.get(j, 0) - q * v
+                if w:
+                    if j not in ri:
+                        cols.setdefault(j, set()).add(i)
+                    ri[j] = w
+                    if w in (1, -1):
+                        queue.append((i, j))
+                elif j in ri:
+                    del ri[j]
+                    cols[j].discard(i)
+            if not ri:
+                del rows[i]
+            elif not unit:
+                g = gcd(*ri.values())
+                if g > 1:
+                    for j in ri:
+                        ri[j] //= g
+                    queue.extend((i, j) for j, v in ri.items() if v in (1, -1))
+        for j in r:
+            cols[j].discard(pi)
+        del rows[pi]
+        count += 1
 
 
 def rank(M):
     """Rank of M, by sparse fraction-free elimination."""
-    rows = _int_rows(M)
-    rk = 0
-    while rows:
-        # cheapest pivot: prefer rows holding a +-1 entry, then short rows
-        best = None
-        for idx, r in enumerate(rows):
-            key = (0 if any(v == 1 or v == -1 for v in r.values()) else 1, len(r))
-            if best is None or key < best[0]:
-                best = (key, idx)
-                if key == (0, 1):
-                    break
-        idx = best[1]
-        prow = rows.pop(idx)
-        pj, pv = min(prow.items(), key=lambda kv: (abs(kv[1]) != 1, abs(kv[1])))
-        rk += 1
-        nxt = []
-        for r in rows:
-            a = r.get(pj)
-            if a is None:
-                nxt.append(r)
-                continue
-            d = {}
-            for j, v in r.items():
-                d[j] = pv * v
-            for j, v in prow.items():
-                w = d.get(j, 0) - a * v
-                if w:
-                    d[j] = w
-                elif j in d:
-                    del d[j]
-            if d:
-                g = gcd(*d.values())
-                if g > 1:
-                    d = {j: v // g for j, v in d.items()}
-                nxt.append(d)
-        rows = nxt
-    return rk
+    return _eliminate(_int_rows(M), False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -610,52 +641,13 @@ def snf(M):
 def elementary_divisors(M):
     """Nonzero diagonal of the Smith form of M, without transforms.
 
-    Unit pivots are peeled off sparsely first (row elimination, then the
-    pivot row and column are dropped; a unit divisor is recorded).  The
-    small residue goes through the dense routine.
+    Unit pivots are peeled off sparsely first (`_eliminate` in unit mode,
+    one unit divisor each).  The small residue goes through the dense
+    routine.
     """
     if M.ring != ZZ:
         raise ValueError("elementary divisors need a Z matrix")
-    rows = {}
-    cols = {}
-    for i, r in enumerate(M.rows):
-        if r:
-            rows[i] = dict(r)
-            for j in r:
-                cols.setdefault(j, set()).add(i)
-    ones = 0
-    unit_queue = [(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)]
-    while unit_queue:
-        pi, pj = unit_queue.pop()
-        r = rows.get(pi)
-        if r is None or r.get(pj) not in (1, -1):
-            continue
-        pv = r[pj]
-        # row elimination below/above the unit pivot
-        for i in list(cols.get(pj, ())):
-            if i == pi:
-                continue
-            ri = rows[i]
-            q = ri[pj] * pv  # ri - q*r zeroes column pj since pv*pv == 1
-            for j, v in r.items():
-                w = ri.get(j, 0) - q * v
-                if w:
-                    if j not in ri:
-                        cols.setdefault(j, set()).add(i)
-                    ri[j] = w
-                    if w in (1, -1):
-                        unit_queue.append((i, j))
-                else:
-                    if j in ri:
-                        del ri[j]
-                        cols[j].discard(i)
-            if not ri:
-                del rows[i]
-        # remaining entries of the pivot row die by column ops touching only it
-        for j in r:
-            cols[j].discard(pi)
-        del rows[pi]
-        ones += 1
+    ones, rows = _eliminate({i: dict(r) for i, r in enumerate(M.rows) if r}, True)
     if not rows:
         return [1] * ones
     # dense residue
@@ -671,35 +663,12 @@ def elementary_divisors(M):
     return [1] * ones + tail
 
 
-def det(M):
-    """Determinant, by Bareiss fraction-free elimination (Z) or Gauss (Q)."""
-    if M.nrows != M.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.nrows
-    if n == 0:
-        return 1 if M.ring == ZZ else Fraction(1)
-    A = [row[:] for row in M.to_rows()]
-    if M.ring == ZZ:
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if not A[k][k]:
-                for i in range(k + 1, n):
-                    if A[i][k]:
-                        A[k], A[i] = A[i], A[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-                A[i][k] = 0
-            prev = A[k][k]
-        return sign * A[n - 1][n - 1]
+def _bareiss(A):
+    """Determinant of a square integer matrix given as dense rows (consumed)."""
+    n = len(A)
     sign = 1
-    out = Fraction(1)
-    for k in range(n):
+    prev = 1
+    for k in range(n - 1):
         if not A[k][k]:
             for i in range(k + 1, n):
                 if A[i][k]:
@@ -707,14 +676,29 @@ def det(M):
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        out *= A[k][k]
-        inv = 1 / A[k][k]
+                return 0
         for i in range(k + 1, n):
-            if A[i][k]:
-                c = A[i][k] * inv
-                A[i] = [x - c * y for x, y in zip(A[i], A[k])]
-    return sign * out
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1] if n else 1
+
+
+def det(M):
+    """Determinant, by Bareiss fraction-free elimination.
+
+    Over Q each row i is first cleared by the lcm L_i of its denominators,
+    so det M = det(integer rows) / prod L_i.
+    """
+    if M.nrows != M.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    A = M.to_rows()
+    if M.ring == ZZ:
+        return _bareiss(A)
+    mults = [lcm(*(x.denominator for x in row)) for row in A]
+    A = [[int(x * L) for x in row] for row, L in zip(A, mults)]
+    return Fraction(_bareiss(A), prod(mults))
 
 
 def solve_matrix(A, B):

@@ -106,14 +106,6 @@ def _mixed_module(i, seed, trunc):
     return gen_coker(sub, ring=ring, trunc=trunc).module
 
 
-def _fb_degree(X):
-    top = -1
-    for k, d in enumerate(X.dims):
-        if d:
-            top = k
-    return top
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -227,7 +219,7 @@ def suite_degrees(trials=30, seed=0):
             art = serialize(V)
             d = delta_estimate(V)
             h = hmax_estimate(V)
-            run.check(d.value == _fb_degree(X) and d.certain,
+            run.check(d.value == X.degree() and d.certain,
                       "stable degree of a free module misread", art)
             run.check(h.value == -1, "free module shows dying elements", art)
             continue
@@ -238,7 +230,7 @@ def suite_degrees(trials=30, seed=0):
         prof = degrees(V, 1)
         t0 = prof.bound_value(0)
         t1 = prof.bound_value(1)
-        run.check(t0 <= _fb_degree(inst.target_data),
+        run.check(t0 <= inst.target_data.degree(),
                   "t0 exceeds the generator degree", art)
         run.check(t1 <= max(inst.source_cards, default=-1),
                   "t1 exceeds the relation degree", art)
@@ -257,7 +249,7 @@ def suite_degrees(trials=30, seed=0):
             # the true (delta, h), and the bounds are monotone
             dV, hV = ce_propagate("cokernel",
                                   [(max(inst.source_cards), -1),
-                                   (_fb_degree(inst.target_data), -1)])
+                                   (inst.target_data.degree(), -1)])
             rep = bahran_bounds(dV, hV)
             run.check(t0 <= rep.t0_bound and t1 <= rep.t1_bound,
                       "computed degrees break the piecewise bound", art)

@@ -113,6 +113,15 @@ def test_degrees_kv(capsys, monkeypatch, m2_file):
     assert "certified_1=no" in toks
 
 
+def test_degrees_negative_kmax_is_usage_error(capsys, m2_file):
+    with pytest.raises(SystemExit) as err:
+        main(["degrees", m2_file, "--kmax", "-1"])
+    assert err.value.code == EXIT_USAGE
+    err_text = capsys.readouterr().err
+    assert "usage:" in err_text
+    assert "--kmax" in err_text
+
+
 def test_hyper_lists_total_degrees(capsys, complex_file):
     code, out, _ = run(capsys, ["hyper", complex_file, "--level", "1"])
     assert code == EXIT_OK
@@ -206,6 +215,23 @@ def test_cube_bad_spec_file(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_cube_over_the_limit_is_refused_before_building(capsys, tmp_path,
+                                                       monkeypatch):
+    import fihom.cli as cli
+
+    def no_spec(*args, **kwargs):
+        raise AssertionError("CubeSpec built for an oversized cube")
+
+    monkeypatch.setattr(cli, "CubeSpec", no_spec)
+    spec = tmp_path / "cube.txt"
+    spec.write_text("cube 24\n" + "".join("size %d %d\n" % (s, s)
+                                           for s in range(1, 25)))
+    code, _, err = run(capsys, ["cube", "--spec", str(spec),
+                                "--direction", "cart"])
+    assert code == EXIT_USAGE
+    assert "n <= 16" in err
+
+
 def test_conf_shows_both_variants(capsys):
     code, out, _ = run(capsys, ["conf", "--d", "3", "--p", "2"])
     assert code == EXIT_OK
@@ -260,6 +286,15 @@ def test_verify_suite_passes(capsys):
                                 "--trials", "6", "--seed", "1"])
     assert code == EXIT_OK
     assert "suite partitions: PASS" in out
+
+
+def test_verify_negative_trials_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "homology", "--trials", "-3"])
+    assert err.value.code == EXIT_USAGE
+    err_text = capsys.readouterr().err
+    assert "usage:" in err_text
+    assert "--trials" in err_text
 
 
 def test_verify_kv_result(capsys, monkeypatch):

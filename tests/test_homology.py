@@ -132,6 +132,8 @@ def test_degrees_of_zero_module():
 def test_degrees_kmax_guard():
     with pytest.raises(ValueError):
         degrees(constant_module(2, ZZ), 3)
+    with pytest.raises(ValueError, match="negative"):
+        degrees(constant_module(2, ZZ), -1)
 
 
 def test_bound_value_defaults():

@@ -1,6 +1,7 @@
 """Exact linear algebra: ranks, kernels, Smith form, homology classes."""
 
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -16,14 +17,17 @@ from fihom import (
     block_matrix,
     det,
     elementary_divisors,
+    fih_chain_complex,
     homology_class,
     image_basis,
     kernel_basis,
     rank,
     rank_kernel,
+    representable,
     snf,
     solve_matrix,
 )
+from fihom.linalg import _eliminate, _int_rows
 
 
 def zmat(rows):
@@ -379,3 +383,248 @@ def test_quotient_coords_round_trip():
         assert [x for x in coords] == [1 if i == t else 0 for i in range(q.dim)]
     # the relation itself reduces to zero
     assert all(x == 0 for x in q.reduce([1, 1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the elimination loop against the routines it replaced
+#
+# old_rank, old_unit_peel + old_elementary_divisors and old_det_q are the
+# row-scanning rank, the unit-peeling loop of elementary_divisors and the
+# Gauss branch of det over Q as they stood before `_eliminate` served
+# rank and elementary_divisors and det cleared denominators into Bareiss.
+
+
+def old_rank(M):
+    """Rank of M, by sparse fraction-free elimination."""
+    rows = list(_int_rows(M).values())
+    rk = 0
+    while rows:
+        # cheapest pivot: prefer rows holding a +-1 entry, then short rows
+        best = None
+        for idx, r in enumerate(rows):
+            key = (0 if any(v == 1 or v == -1 for v in r.values()) else 1, len(r))
+            if best is None or key < best[0]:
+                best = (key, idx)
+                if key == (0, 1):
+                    break
+        idx = best[1]
+        prow = rows.pop(idx)
+        pj, pv = min(prow.items(), key=lambda kv: (abs(kv[1]) != 1, abs(kv[1])))
+        rk += 1
+        nxt = []
+        for r in rows:
+            a = r.get(pj)
+            if a is None:
+                nxt.append(r)
+                continue
+            d = {}
+            for j, v in r.items():
+                d[j] = pv * v
+            for j, v in prow.items():
+                w = d.get(j, 0) - a * v
+                if w:
+                    d[j] = w
+                elif j in d:
+                    del d[j]
+            if d:
+                g = gcd(*d.values())
+                if g > 1:
+                    d = {j: v // g for j, v in d.items()}
+                nxt.append(d)
+        rows = nxt
+    return rk
+
+
+def old_unit_peel(M):
+    """(unit pivot count, residue rows) of the old elementary_divisors peel."""
+    rows = {}
+    cols = {}
+    for i, r in enumerate(M.rows):
+        if r:
+            rows[i] = dict(r)
+            for j in r:
+                cols.setdefault(j, set()).add(i)
+    ones = 0
+    unit_queue = [(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)]
+    while unit_queue:
+        pi, pj = unit_queue.pop()
+        r = rows.get(pi)
+        if r is None or r.get(pj) not in (1, -1):
+            continue
+        pv = r[pj]
+        # row elimination below/above the unit pivot
+        for i in list(cols.get(pj, ())):
+            if i == pi:
+                continue
+            ri = rows[i]
+            q = ri[pj] * pv  # ri - q*r zeroes column pj since pv*pv == 1
+            for j, v in r.items():
+                w = ri.get(j, 0) - q * v
+                if w:
+                    if j not in ri:
+                        cols.setdefault(j, set()).add(i)
+                    ri[j] = w
+                    if w in (1, -1):
+                        unit_queue.append((i, j))
+                else:
+                    if j in ri:
+                        del ri[j]
+                        cols[j].discard(i)
+            if not ri:
+                del rows[i]
+        # remaining entries of the pivot row die by column ops touching only it
+        for j in r:
+            cols[j].discard(pi)
+        del rows[pi]
+        ones += 1
+    return ones, rows
+
+
+def old_elementary_divisors(M):
+    ones, rows = old_unit_peel(M)
+    if not rows:
+        return [1] * ones
+    # dense residue
+    live_rows = sorted(rows)
+    live_cols = sorted({j for r in rows.values() for j in r})
+    cindex = {j: k for k, j in enumerate(live_cols)}
+    dense = [[0] * len(live_cols) for _ in live_rows]
+    for k, i in enumerate(live_rows):
+        for j, v in rows[i].items():
+            dense[k][cindex[j]] = v
+    res = snf(Matrix.from_rows(ZZ, dense, ncols=len(live_cols)))
+    tail = [d for d in res.divisors() if d]
+    return [1] * ones + tail
+
+
+def old_det_q(M):
+    """Determinant of a square Q matrix by Fraction Gauss elimination."""
+    n = M.nrows
+    if n == 0:
+        return Fraction(1)
+    A = [row[:] for row in M.to_rows()]
+    sign = 1
+    out = Fraction(1)
+    for k in range(n):
+        if not A[k][k]:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        out *= A[k][k]
+        inv = 1 / A[k][k]
+        for i in range(k + 1, n):
+            if A[i][k]:
+                c = A[i][k] * inv
+                A[i] = [x - c * y for x, y in zip(A[i], A[k])]
+    return sign * out
+
+
+def cube_differentials(ring):
+    out = []
+    for m in (2, 3):
+        V = representable(m, 6, ring)
+        for n in range(V.truncation + 1):
+            out.extend(fih_chain_complex(V, n).d)
+    return out
+
+
+def sparse_int(seed):
+    """Seeded sparse integer matrix, 20..40 by 20..40, with dependent rows.
+
+    About one entry in eight is nonzero, drawn from {-1, 1, -2, 2, 3}; a
+    fifth of the rows are replaced by r_a + 2 r_b, which lowers the rank
+    and plants torsion.
+    """
+    import random
+
+    rng = random.Random("sparse-elim:%d" % seed)
+    nr, nc = rng.randint(20, 40), rng.randint(20, 40)
+    rows = [{j: rng.choice((-1, 1, 1, -2, 2, 3)) for j in range(nc)
+             if rng.random() < 0.12} for _ in range(nr)]
+    for i in rng.sample(range(nr), nr // 5):
+        a, b = rng.sample(range(nr), 2)
+        d = dict(rows[a])
+        for j, v in rows[b].items():
+            d[j] = d.get(j, 0) + 2 * v
+        rows[i] = {j: v for j, v in d.items() if v}
+    return Matrix.from_sparse(ZZ, nr, nc, rows)
+
+
+def rational_rows(M, seed):
+    """M over Q with every row divided by its own random denominator."""
+    import random
+
+    rng = random.Random("rational-rows:%d" % seed)
+    rows = []
+    for r in M.rows:
+        den = rng.randint(1, 7)
+        rows.append({j: Fraction(v, den) for j, v in r.items()})
+    return Matrix.from_sparse(QQ, M.nrows, M.ncols, rows)
+
+
+SPARSE = [sparse_int(seed) for seed in range(30)]
+
+
+def test_sparse_matrices_need_both_pivot_kinds():
+    # the differential tests below mean something only if the loop meets
+    # non-unit pivots and the divisors meet a dense residue
+    peeled = [_eliminate({i: dict(r) for i, r in enumerate(M.rows) if r}, True)
+              for M in SPARSE]
+    assert all(ones < rank(M) for M, (ones, _) in zip(SPARSE, peeled))
+    assert any(d > 1 for M in SPARSE for d in elementary_divisors(M))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_rank_matches_old_rank_on_cube_differentials(ring):
+    for d in cube_differentials(ring):
+        assert rank(d) == old_rank(d) == naive_rank(d)
+
+
+def test_rank_matches_old_rank_on_sparse_matrices():
+    for seed, M in enumerate(SPARSE):
+        Q = rational_rows(M, seed)
+        assert rank(M) == old_rank(M) == naive_rank(M)
+        assert rank(Q) == old_rank(Q) == naive_rank(Q) == rank(M)
+        assert rank(M.transpose()) == rank(M)
+
+
+def test_elementary_divisors_match_old_on_cube_differentials():
+    for d in cube_differentials(ZZ):
+        assert elementary_divisors(d) == old_elementary_divisors(d)
+
+
+def test_elementary_divisors_match_old_on_sparse_matrices():
+    for M in SPARSE:
+        assert elementary_divisors(M) == old_elementary_divisors(M)
+
+
+def test_unit_mode_residue_is_the_old_peel():
+    for M in cube_differentials(ZZ) + SPARSE:
+        got = _eliminate({i: dict(r) for i, r in enumerate(M.rows) if r}, True)
+        assert got == old_unit_peel(M)
+
+
+def test_q_det_matches_gauss():
+    import random
+
+    rng = random.Random("q-det")
+    for n in range(13):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                for _ in range(n)]
+        if n >= 2 and rng.random() < 0.3:
+            rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]  # singular
+        M = qmat(rows) if n else Matrix.zeros(QQ, 0, 0)
+        assert det(M) == old_det_q(M)
+    for seed, M in enumerate(SPARSE):
+        k = min(M.shape)
+        Q = rational_rows(Matrix.from_rows(ZZ, [r[:k] for r in M.to_rows()[:k]]), seed)
+        assert det(Q) == old_det_q(Q)
+        assert det(Q) == 0 or rank(Q) == k
+    for d in cube_differentials(QQ):
+        if 0 < min(d.shape) <= 30:
+            G = d @ d.transpose() if d.nrows <= d.ncols else d.transpose() @ d
+            assert det(G) == old_det_q(G)
