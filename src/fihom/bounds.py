@@ -297,9 +297,6 @@ class CubeSpec:
                         "monotonicity fails: k_%s > k_%s"
                         % (sorted(smaller), sorted(T)))
 
-    def weight_mask(self, mask):
-        return self.k[frozenset(i for i in range(self.n) if mask >> i & 1)]
-
 
 def strongly_cocartesian_spec(n, edge_conns) -> CubeSpec:
     """k_T = sum of the edge connectivities in T (the additive special case)."""
@@ -322,24 +319,20 @@ def partition_min(spec: CubeSpec):
     if n > _MAX_CUBE_N:
         raise ValueError("partition DP limited to n <= %d" % _MAX_CUBE_N)
     full = (1 << n) - 1
-    dp = [None] * (full + 1)
-    dp[0] = 0
+    weight = [0] * (full + 1)   # weight[mask] = k_T for the subset T of mask
+    for T, v in spec.k.items():
+        weight[sum(1 << i for i in T)] = v
+    dp = [0] * (full + 1)
     for mask in range(1, full + 1):
         low = mask & -mask
         rest = mask ^ low
-        best = None
+        best = weight[mask]     # the block mask itself, tail dp[0] = 0
         sub = rest
-        while True:
-            block = sub | low
-            c = spec.weight_mask(block)
-            tail = dp[mask ^ block]
-            if tail is not None:
-                cand = c + tail
-                if best is None or cand < best:
-                    best = cand
-            if sub == 0:
-                break
+        while sub:
             sub = (sub - 1) & rest
+            cand = weight[sub | low] + dp[rest ^ sub]
+            if cand < best:
+                best = cand
         dp[mask] = best
     return dp[full]
 
@@ -369,11 +362,15 @@ def partition_min_exhaustive(spec: CubeSpec):
 
 def cube_cartesianity(spec: CubeSpec, direction) -> int:
     """(1 - n + min)-cartesian or (-1 + n + min)-cocartesian value."""
-    m = partition_min(spec)
+    return _cube_value(spec.n, partition_min(spec), direction)
+
+
+def _cube_value(n, m, direction):
+    """cube_cartesianity of an n-cube from its partition minimum m."""
     if direction == "to_cartesian":
-        return 1 - spec.n + m
+        return 1 - n + m
     if direction == "to_cocartesian":
-        return -1 + spec.n + m
+        return -1 + n + m
     raise ValueError("direction must be to_cartesian or to_cocartesian")
 
 

@@ -13,8 +13,8 @@ import os
 import sys
 
 from .bounds import (
-    _MAX_CUBE_N, CubeSpec, DegreeSeq, bahran_bounds, cohomology_bounds,
-    conf_bounds, cube_cartesianity, gan_li_bounds, going_down_bounds,
+    _MAX_CUBE_N, CubeSpec, DegreeSeq, _cube_value, bahran_bounds,
+    cohomology_bounds, conf_bounds, gan_li_bounds, going_down_bounds,
     going_up_bound, partition_min,
 )
 from .complexes import FIComplex, hyper_total_complex
@@ -282,8 +282,8 @@ def _cmd_bounds(args, fmt):
 def _cmd_cube(args, fmt):
     spec = _read_cube_spec(args.spec)
     direction = "to_cartesian" if args.direction == "cart" else "to_cocartesian"
-    value = cube_cartesianity(spec, direction)
     m = partition_min(spec)
+    value = _cube_value(spec.n, m, direction)
     key = "cartesianity" if args.direction == "cart" else "cocartesianity"
     _emit(fmt,
           [("n", spec.n), ("partition_min", m), (key, value)],

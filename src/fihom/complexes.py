@@ -14,11 +14,15 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .fimodule import (
-    FIModule, shift_module, truncate, validate, validate_morphism, zero_module,
+    FIModule, _quotient_module, shift_module, truncate, validate,
+    validate_morphism, zero_module,
 )
-from .homology import DegreeProfile, fih_chain_complex
+from .homology import (
+    DegreeProfile, _ChainComplex, _check_square_zero, _degree_profile,
+    fih_chain_complex,
+)
 from .linalg import (
-    AbelianClass, Matrix, QQ, QuotientCoords, block_matrix, homology_class, rank,
+    AbelianClass, Matrix, QQ, QuotientCoords, _add_block, block_matrix, rank,
 )
 
 
@@ -41,9 +45,8 @@ class FIComplex:
             if W.ring != self.ring or W.truncation != self.truncation:
                 raise ValueError("modules must share ring and truncation")
         for t, d in enumerate(self.diffs):
-            if d.source is not self.modules[t + 1] or d.target is not self.modules[t]:
-                if d.source.dims != self.modules[t + 1].dims or \
-                        d.target.dims != self.modules[t].dims:
+            for end, W in ((d.source, self.modules[t + 1]), (d.target, self.modules[t])):
+                if end is not W and end != W:
                     raise ValueError("differential %d endpoints mismatch" % t)
         for t in range(len(self.diffs) - 1):
             for n in range(self.truncation + 1):
@@ -97,7 +100,7 @@ def validate_complex(W: FIComplex):
 
 
 @dataclass(frozen=True)
-class TotalComplexAt:
+class TotalComplexAt(_ChainComplex):
     """Total complex of the cube bicomplex of an FIComplex at one level."""
 
     level: int
@@ -107,23 +110,15 @@ class TotalComplexAt:
     D: dict = field(repr=False)      # m -> matrix T_m -> T_{m-1}
     ring: str = "Z"
 
+    @property
+    def _ring(self):
+        return self.ring
+
+    def _diff(self, m):
+        return self.D.get(m)
+
     def size(self, m):
         return self.sizes.get(m, 0)
-
-    def boundary_out(self, m):
-        if m in self.D:
-            return self.D[m]
-        return Matrix.zeros(self.ring, 0, self.size(m))
-
-    def boundary_in(self, m):
-        if m + 1 in self.D:
-            return self.D[m + 1]
-        return Matrix.zeros(self.ring, self.size(m), 0)
-
-    def homology(self, m):
-        if self.size(m) == 0:
-            return AbelianClass(0)
-        return homology_class(self.boundary_in(m), self.boundary_out(m))
 
 
 def hyper_total_complex(W: FIComplex, n) -> TotalComplexAt:
@@ -135,59 +130,34 @@ def hyper_total_complex(W: FIComplex, n) -> TotalComplexAt:
              for q in range(W.q_min, W.q_max + 1)}
     m_min, m_max = W.q_min, W.q_max + n
 
-    def blocks_of(m):
-        """(p, q) pairs contributing to T_m, in ascending q."""
-        out = []
-        for q in range(W.q_min, W.q_max + 1):
-            p = m - q
-            if 0 <= p <= n:
-                out.append((p, q))
-        return out
-
-    sizes = {}
-    layouts = {}
+    sizes, layouts = {}, {}   # layouts[m][(p, q)]: offset of S_p(W_q) in T_m
     for m in range(m_min, m_max + 1):
-        off = 0
-        offs = {}
-        for p, q in blocks_of(m):
-            offs[(p, q)] = off
-            off += rows_[q].size(p)
-        layouts[m] = offs
-        sizes[m] = off
+        off, offs = 0, {}
+        for q in range(W.q_min, W.q_max + 1):
+            if 0 <= m - q <= n:
+                offs[(m - q, q)] = off
+                off += rows_[q].size(m - q)
+        layouts[m], sizes[m] = offs, off
 
     D = {}
     for m in range(m_min + 1, m_max + 1):
         src = layouts[m]
         tgt = layouts[m - 1]
         mat_rows = [{} for _ in range(sizes[m - 1])]
-
-        def write(toff, soff, blk, scale=1):
-            for i, r in enumerate(blk.rows):
-                for j, v in r.items():
-                    w = scale * v
-                    cur = mat_rows[toff + i].get(soff + j, 0) + w
-                    if cur:
-                        mat_rows[toff + i][soff + j] = cur
-                    else:
-                        mat_rows[toff + i].pop(soff + j, None)
-
         for (p, q), soff in src.items():
             if p >= 1 and (p - 1, q) in tgt:
-                write(tgt[(p - 1, q)], soff, rows_[q].differential(p))
+                _add_block(mat_rows, tgt[(p - 1, q)], soff, rows_[q].differential(p))
             if (p, q - 1) in tgt:
                 # vertical: del applied on each subset summand, Koszul (-1)^p
                 sgn = -1 if p % 2 else 1
                 lvl = W.diff_level(q, n - p)
-                cnt = comb(n, n - p)
                 sdim = W.module(q).dims[n - p]
                 tdim = W.module(q - 1).dims[n - p]
                 toff = tgt[(p, q - 1)]
-                for t in range(cnt):
-                    write(toff + t * tdim, soff + t * sdim, lvl, sgn)
+                for t in range(comb(n, n - p)):
+                    _add_block(mat_rows, toff + t * tdim, soff + t * sdim, lvl, sgn)
         D[m] = Matrix(ring, sizes[m - 1], sizes[m], mat_rows)
-    for m in range(m_min + 2, m_max + 1):
-        if not (D[m - 1] @ D[m]).is_zero():
-            raise ArithmeticError("D^2 != 0 at total degree %d (bug)" % m)
+    _check_square_zero(D, "D^2 != 0 at total degree %d (bug)")
     return TotalComplexAt(n, m_min, m_max, sizes, D, ring)
 
 
@@ -198,17 +168,9 @@ def hyper_group(W: FIComplex, n, m) -> AbelianClass:
 def hyper_degrees(W: FIComplex, krange) -> DegreeProfile:
     """t_k over k in krange = (k_lo, k_hi): top level with H_k(Tot) != 0."""
     k_lo, k_hi = krange
-    N = W.truncation
-    totals = [hyper_total_complex(W, n) for n in range(N + 1)]
-    values, certified = {}, {}
-    for k in range(k_lo, k_hi + 1):
-        top = None
-        for n in range(N + 1):
-            if not totals[n].homology(k).is_zero():
-                top = n
-        values[k] = top
-        certified[k] = top is not None and top < N
-    return DegreeProfile(N, values, certified)
+    return _degree_profile(
+        [hyper_total_complex(W, n) for n in range(W.truncation + 1)],
+        range(k_lo, k_hi + 1))
 
 
 def derivative_two_term(V: FIModule) -> FIComplex:
@@ -225,16 +187,9 @@ def levelwise_homology_module(W: FIComplex, k) -> FIModule:
     N = W.truncation
     if not (W.q_min <= k <= W.q_max):
         return zero_module(N, QQ)
-    Wk = W.module(k)
     quots = [QuotientCoords(W.diff_level(k + 1, n), W.diff_level(k, n))
              for n in range(N + 1)]
-    dims = tuple(q.dim for q in quots)
-    iotas = tuple(quots[n].induced(Wk.iota[n], quots[n + 1]) for n in range(N))
-    trans = tuple(
-        tuple(quots[n].induced(Wk.transposition(n, i), quots[n])
-              for i in range(1, n))
-        for n in range(N + 1))
-    return FIModule(QQ, N, dims, iotas, trans, name="H_%d" % k)
+    return _quotient_module(W.module(k), quots, name="H_%d" % k)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +204,8 @@ def _cube_chain_map(V, SV, nat, n):
     for q in range(n + 1):
         k = n - q
         rows = [{} for _ in range(B.size(q))]
-        lvl = nat.levels[k]
-        cnt = comb(n, k)
-        for t in range(cnt):
-            for i, r in enumerate(lvl.rows):
-                for j, v in r.items():
-                    rows[t * SV.dims[k] + i][t * V.dims[k] + j] = v
+        for t in range(comb(n, k)):
+            _add_block(rows, t * SV.dims[k], t * V.dims[k], nat.levels[k])
         phi.append(Matrix(V.ring, B.size(q), A.size(q), rows))
     return A, B, tuple(phi)
 
@@ -345,17 +296,10 @@ def shift_three_term_exactness(V: FIModule, n, a) -> bool:
     qc = QuotientCoords(C.boundary_in(a), C.boundary_out(a))
     alpha = qa.induced(phi[a], qb) if 0 <= a <= n else Matrix.zeros(QQ, qb.dim, 0)
     # signed inclusion psi_p = (-1)^p (B_p -> C_p), a chain map by the cone signs
-    Qa = _signed_regroup(C, A, B, a)
-    adim = A.size(a - 1)
-    rows = [{} for _ in range(C.size(a))]
     # psi = Q_a^{-1} restricted to the B block; Q_a is a signed permutation,
     # so its inverse is its transpose
-    for i, r in enumerate(Qa.rows):
-        if i < adim:
-            continue
-        for j, v in r.items():
-            rows[j][i - adim] = v
-    psi = Matrix(QQ, C.size(a), B.size(a), rows)
+    Qa = _signed_regroup(C, A, B, a)
+    psi = Matrix(QQ, B.size(a), C.size(a), Qa.rows[A.size(a - 1):]).transpose()
     beta = qb.induced(psi, qc)
     if not (beta @ alpha).is_zero():
         return False

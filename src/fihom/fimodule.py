@@ -21,7 +21,8 @@ from math import factorial
 from typing import Optional
 
 from .linalg import (
-    Matrix, QQ, ZZ, QuotientCoords, block_matrix, homology_class, snf,
+    Matrix, QQ, ZZ, QuotientCoords, _add_block, block_matrix, homology_class,
+    snf,
 )
 
 
@@ -333,10 +334,7 @@ def free_fi_module(X: FBData, name=""):
                 if in_a and in_b:
                     # internal adjacent swap at the rank of a within S
                     r = S.index(a)
-                    blk = X.transposition(k, r + 1)
-                    for rr_, row in enumerate(blk.rows):
-                        for cc, v in row.items():
-                            rows[off + rr_][off + cc] = v
+                    _add_block(rows, off, off, X.transposition(k, r + 1))
                 elif in_a != in_b:
                     T = tuple(sorted(set(S) ^ {a, b}))
                     toff = layout[T]
@@ -489,6 +487,21 @@ def shift_module(V: FIModule) -> ShiftData:
     return ShiftData(SV, nat)
 
 
+def _quotient_module(W: FIModule, quots, name=""):
+    """The FIModule on the quotients quots[n] of W's levels, over Q.
+
+    Its structure maps are the ones W's iota and transpositions induce;
+    the caller guarantees that they preserve the subspaces divided out.
+    """
+    N = W.truncation
+    iotas = tuple(quots[n].induced(W.iota[n], quots[n + 1]) for n in range(N))
+    trans = tuple(
+        tuple(quots[n].induced(W.transposition(n, i), quots[n])
+              for i in range(1, n))
+        for n in range(N + 1))
+    return FIModule(QQ, N, tuple(q.dim for q in quots), iotas, trans, name=name)
+
+
 class CokernelTorsionError(ValueError):
     """Z-module cokernel has torsion at some level: not representable here."""
 
@@ -504,15 +517,9 @@ def fi_coker(f: FIMorphism) -> FIModule:
     N = V.truncation
     ring = V.ring
     if ring == QQ:
-        quots = [QuotientCoords(f.levels[n], Matrix.zeros(QQ, 0, W.dims[n]))
-                 for n in range(N + 1)]
-        dims = tuple(q.dim for q in quots)
-        iotas = tuple(quots[n].induced(W.iota[n], quots[n + 1]) for n in range(N))
-        trans = tuple(
-            tuple(quots[n].induced(W.transposition(n, i), quots[n])
-                  for i in range(1, n))
-            for n in range(N + 1))
-        return FIModule(QQ, N, dims, iotas, trans)
+        return _quotient_module(W, [
+            QuotientCoords(f.levels[n], Matrix.zeros(QQ, 0, W.dims[n]))
+            for n in range(N + 1)])
     # Z case: coker Z^d / im f = U^-1 (Z^d / im S); torsion free iff all d_i = 1
     datas = []
     for n in range(N + 1):

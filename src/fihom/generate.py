@@ -18,7 +18,7 @@ from .fimodule import (
 )
 from .complexes import FIComplex, complex_from_morphisms
 from .io import serialize
-from .linalg import Matrix, QQ, ZZ, kernel_basis
+from .linalg import Matrix, QQ, ZZ, _add_block, kernel_basis
 
 MAX_TRUNCATION = 6
 MAX_FB_DIM = 4
@@ -105,9 +105,7 @@ def random_fbdata(rng, ring, trunc, top=None, dim_cap=MAX_FB_DIM) -> FBData:
             rows = [{} for _ in range(dims[k])]
             off = 0
             for blk in blocks:
-                for r in range(blk.nrows):
-                    for c, v in blk.rows[r].items():
-                        rows[off + r][off + c] = v
+                _add_block(rows, off, off, blk)
                 off += blk.nrows
             mats.append(Matrix(ring, dims[k], dims[k], rows))
         trans.append(tuple(mats))

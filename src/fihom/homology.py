@@ -21,8 +21,8 @@ from .fimodule import (
     induced_injection_matrix, shift_module,
 )
 from .linalg import (
-    AbelianClass, Matrix, QQ, ZZ, homology_class, image_basis, rank,
-    solve_matrix,
+    AbelianClass, Matrix, QQ, _abelian_class, _add_block,
+    elementary_divisors, image_basis, rank, solve_matrix,
 )
 
 
@@ -37,8 +37,62 @@ def subset_layout(V, n, size):
     return offsets, off
 
 
+class _ChainComplex:
+    """Homology of a chain complex whose d^2 = 0 was checked when it was built.
+
+    A subclass supplies size(m), the ring as `_ring` and `_diff(m)`, the
+    stored differential C_m -> C_{m-1} or None where there is none.  The
+    invariants of each differential are computed once per object and
+    cached: over Z the elementary divisors of the map into C_m, over Q its
+    rank.  The rank of the map out of C_m is the count of its divisors once
+    they are known, so a sweep in ascending m eliminates each map once.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "_ranks", {})
+        object.__setattr__(self, "_divs", {})
+
+    def boundary_out(self, m):
+        """The map out of C_m (a 0-row zero matrix where there is none)."""
+        d = self._diff(m)
+        return Matrix.zeros(self._ring, 0, self.size(m)) if d is None else d
+
+    def boundary_in(self, m):
+        """The map into C_m (a 0-column zero matrix where there is none)."""
+        d = self._diff(m + 1)
+        return Matrix.zeros(self._ring, self.size(m), 0) if d is None else d
+
+    def _rank(self, m):
+        """rank D_m: the length of its divisors when known, else `rank`."""
+        if m in self._divs:
+            return len(self._divs[m])
+        if m not in self._ranks:
+            self._ranks[m] = rank(self.boundary_out(m))
+        return self._ranks[m]
+
+    def _divisors(self, m):
+        if m not in self._divs:
+            self._divs[m] = elementary_divisors(self.boundary_out(m))
+        return self._divs[m]
+
+    def homology(self, m):
+        if self.size(m) == 0:
+            return AbelianClass(0)
+        if self._ring == QQ:
+            return _abelian_class(self.size(m), self._rank(m), self._rank(m + 1))
+        divs = self._divisors(m + 1)
+        return _abelian_class(self.size(m), self._rank(m), len(divs), divs)
+
+
+def _check_square_zero(D, message):
+    """Raise ArithmeticError(message % m) at the first m with D[m-1] @ D[m] != 0."""
+    for m, d in D.items():
+        if m - 1 in D and not (D[m - 1] @ d).is_zero():
+            raise ArithmeticError(message % m)
+
+
 @dataclass(frozen=True)
-class FIHComplexAt:
+class FIHComplexAt(_ChainComplex):
     """fih_chain_complex(V, n): the cube complex of V at level n.
 
     d[p-1] is the differential S_p -> S_{p-1} (1 <= p <= n); offsets[p]
@@ -51,31 +105,21 @@ class FIHComplexAt:
     d: tuple                # d[p-1]: S_p -> S_{p-1}
     offsets: tuple = field(repr=False, default=())
 
+    @property
+    def _ring(self):
+        return self.module.ring
+
+    def _diff(self, p):
+        return self.d[p - 1] if 1 <= p <= self.level else None
+
     def differential(self, p):
         """d_p: S_p -> S_{p-1}."""
         if not (1 <= p <= self.level):
             raise ValueError("no differential d_%d at level %d" % (p, self.level))
         return self.d[p - 1]
 
-    def boundary_out(self, p):
-        """The map out of S_p (zero matrix when p = 0 or p out of range)."""
-        if 1 <= p <= self.level:
-            return self.d[p - 1]
-        return Matrix.zeros(self.module.ring, 0, self.size(p))
-
-    def boundary_in(self, p):
-        """The map into S_p (zero matrix when p = n or p out of range)."""
-        if 0 <= p < self.level:
-            return self.d[p]
-        return Matrix.zeros(self.module.ring, self.size(p), 0)
-
     def size(self, p):
         return self.sizes[p] if 0 <= p <= self.level else 0
-
-    def homology(self, p):
-        if p < 0 or p > self.level:
-            return AbelianClass(0)
-        return homology_class(self.boundary_in(p), self.boundary_out(p))
 
 
 def fih_chain_complex(V: FIModule, n) -> FIHComplexAt:
@@ -93,26 +137,16 @@ def fih_chain_complex(V: FIModule, n) -> FIHComplexAt:
         k = n - p
         rows = [{} for _ in range(tdim)]
         for S, soff in src.items():
-            comp = [i for i in range(n) if i not in S]
-            for i in comp:
+            for i in range(n):
+                if i in S:
+                    continue
                 T = tuple(sorted(S + (i,)))
                 pos = T.index(i)
-                sign = -1 if pos % 2 else 1
-                blk = faces[k][pos]
-                toff = tgt[T]
-                for r, row in enumerate(blk.rows):
-                    for c, v in row.items():
-                        cur = rows[toff + r].get(soff + c, 0) + sign * v
-                        if cur:
-                            rows[toff + r][soff + c] = cur
-                        else:
-                            rows[toff + r].pop(soff + c, None)
+                _add_block(rows, tgt[T], soff, faces[k][pos], -1 if pos % 2 else 1)
         ds.append(Matrix(ring, tdim, sdim, rows))
-    for p in range(2, n + 1):
-        if not (ds[p - 2] @ ds[p - 1]).is_zero():
-            raise ArithmeticError(
-                "d^2 != 0 at (level %d, degree %d): structure maps violate "
-                "the FI relations or the sign bookkeeping broke" % (n, p))
+    _check_square_zero(dict(enumerate(ds, 1)),
+                       "d^2 != 0 at (level %d, degree %%d): structure maps "
+                       "violate the FI relations or the sign bookkeeping broke" % n)
     return FIHComplexAt(V, n, sizes, tuple(ds),
                         tuple(layouts[p][0] for p in range(n + 1)))
 
@@ -167,6 +201,20 @@ class DegreeProfile:
         return " ".join(bits)
 
 
+def _degree_profile(complexes, ks):
+    """t_k for k in ks: the top n with complexes[n].homology(k) != 0."""
+    N = len(complexes) - 1
+    values, certified = {}, {}
+    for k in ks:
+        top = None
+        for n, cpx in enumerate(complexes):
+            if not cpx.homology(k).is_zero():
+                top = n
+        values[k] = top
+        certified[k] = top is not None and top < N
+    return DegreeProfile(N, values, certified)
+
+
 def degrees(V: FIModule, kmax) -> DegreeProfile:
     """DegreeProfile of t_0 .. t_kmax over all levels up to the truncation."""
     N = V.truncation
@@ -174,16 +222,8 @@ def degrees(V: FIModule, kmax) -> DegreeProfile:
         raise ValueError("kmax %d is negative" % kmax)
     if kmax > N:
         raise ValueError("kmax %d exceeds truncation %d" % (kmax, N))
-    complexes = [fih_chain_complex(V, n) for n in range(N + 1)]
-    values, certified = {}, {}
-    for k in range(kmax + 1):
-        top = None
-        for n in range(k, N + 1):
-            if not complexes[n].homology(k).is_zero():
-                top = n
-        values[k] = top
-        certified[k] = top is not None and top < N
-    return DegreeProfile(N, values, certified)
+    return _degree_profile([fih_chain_complex(V, n) for n in range(N + 1)],
+                           range(kmax + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +317,8 @@ def _generated_submodule(V, k):
         for S in itertools.combinations(range(n), k):
             for g in itertools.permutations(range(k)):
                 f = tuple(S[g[x]] for x in range(k))
-                mat = induced_injection_matrix(V, f, a=k, b=n)
-                for i, row in enumerate(mat.rows):
-                    for j, v in row.items():
-                        stacked_rows[i][off + j] = v
+                _add_block(stacked_rows, 0, off,
+                           induced_injection_matrix(V, f, a=k, b=n))
                 off += V.dims[k]
         stacked = Matrix(ring, V.dims[n], off, stacked_rows)
         bases.append(image_basis(stacked))

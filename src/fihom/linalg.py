@@ -247,6 +247,18 @@ class Matrix:
         return "Matrix(%s, %dx%d, nnz=%d)" % (self.ring, self.nrows, self.ncols, self.nnz())
 
 
+def _add_block(rows, r0, c0, blk, scale=1):
+    """rows[r0 + i][c0 + j] += scale * blk[i, j] on sparse rows, zeros unstored."""
+    for i, r in enumerate(blk.rows):
+        tgt = rows[r0 + i]
+        for j, v in r.items():
+            w = tgt.get(c0 + j, 0) + scale * v
+            if w:
+                tgt[c0 + j] = w
+            else:
+                tgt.pop(c0 + j, None)
+
+
 def block_matrix(ring, row_dims, col_dims, blocks):
     """Assemble a matrix from blocks: {(bi, bj): Matrix}.
 
@@ -265,16 +277,7 @@ def block_matrix(ring, row_dims, col_dims, blocks):
         if blk.shape != (row_dims[bi], col_dims[bj]):
             raise ValueError("block (%d,%d) has shape %s, expected %s"
                              % (bi, bj, blk.shape, (row_dims[bi], col_dims[bj])))
-        r0, c0 = roff[bi], coff[bj]
-        for i, r in enumerate(blk.rows):
-            tgt = rows[r0 + i]
-            for j, v in r.items():
-                w = tgt.get(c0 + j)
-                w = v if w is None else w + v
-                if w:
-                    tgt[c0 + j] = w
-                elif c0 + j in tgt:
-                    del tgt[c0 + j]
+        _add_block(rows, roff[bi], coff[bj], blk)
     return Matrix(ring, roff[-1], coff[-1], rows)
 
 
@@ -795,6 +798,18 @@ class CompositionError(ValueError):
     """d_out @ d_in != 0: the two maps do not form a complex."""
 
 
+def _abelian_class(dim, rank_out, rank_in, divs=()):
+    """ker(d_out)/im(d_in) on a chain group of rank `dim`.
+
+    Read off rank(d_out), rank(d_in) and, over Z, the elementary divisors
+    of d_in, whose entries above 1 are the torsion orders.
+    """
+    r = dim - rank_out - rank_in
+    if r < 0:
+        raise AssertionError("negative homology rank")
+    return AbelianClass(r, tuple(d for d in divs if d > 1))
+
+
 def homology_class(d_in, d_out):
     """Homology ker(d_out)/im(d_in) of  . --d_in--> C --d_out--> .  .
 
@@ -803,6 +818,11 @@ def homology_class(d_in, d_out):
     kernel of d_out is a saturated (direct summand) sublattice, and the
     quotient of the ambient lattice by ker(d_out) is free, so all torsion
     of coker(d_in) lives in ker(d_out)/im(d_in).
+
+    Checks d_out @ d_in = 0 and eliminates both maps on every call.  The
+    chain complexes that fihom builds check d^2 = 0 once at construction
+    and cache each differential's invariants, so their `homology` goes
+    straight to the same formula.
     """
     if d_in.ring != d_out.ring:
         raise ValueError("ring mismatch")
@@ -811,15 +831,9 @@ def homology_class(d_in, d_out):
     if not (d_out @ d_in).is_zero():
         raise CompositionError("d_out @ d_in != 0")
     if d_in.ring == QQ:
-        r = d_out.ncols - rank(d_out) - rank(d_in)
-        if r < 0:
-            raise AssertionError("negative homology rank")
-        return AbelianClass(r, ())
+        return _abelian_class(d_out.ncols, rank(d_out), rank(d_in))
     divs = elementary_divisors(d_in)
-    r = d_out.ncols - rank(d_out) - len(divs)
-    if r < 0:
-        raise AssertionError("negative homology rank")
-    return AbelianClass(r, tuple(d for d in divs if d > 1))
+    return _abelian_class(d_out.ncols, rank(d_out), len(divs), divs)
 
 
 class QuotientCoords:

@@ -1,5 +1,7 @@
 """The command line surface: exit codes, output formats, file handling."""
 
+from pathlib import Path
+
 import pytest
 
 from fihom import ZZ, representable, serialize
@@ -232,6 +234,29 @@ def test_cube_over_the_limit_is_refused_before_building(capsys, tmp_path,
     assert "n <= 16" in err
 
 
+def test_cube_runs_the_partition_dp_once(capsys, tmp_path, monkeypatch):
+    import fihom.bounds as bounds
+    import fihom.cli as cli
+
+    runs = []
+    real = bounds.partition_min
+
+    def counted(spec):
+        runs.append(spec.n)
+        return real(spec)
+
+    monkeypatch.setattr(bounds, "partition_min", counted)
+    monkeypatch.setattr(cli, "partition_min", counted)
+    spec = tmp_path / "cube.txt"
+    spec.write_text("cube 3\nsize 1 2\nsize 2 4\nsize 3 6\n")
+    code, out, _ = run(capsys, ["cube", "--spec", str(spec),
+                                "--direction", "cart"])
+    assert code == EXIT_OK
+    assert "partition min = 6" in out
+    assert "4-cartesian" in out
+    assert runs == [3]
+
+
 def test_conf_shows_both_variants(capsys):
     code, out, _ = run(capsys, ["conf", "--d", "3", "--p", "2"])
     assert code == EXIT_OK
@@ -349,3 +374,18 @@ def test_missing_required_flag_exits_usage(capsys):
     with pytest.raises(SystemExit) as err:
         main(["homology", "somefile"])
     assert err.value.code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# golden output
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify-all-seed0.kv"
+
+
+def test_verify_all_seed0_matches_the_golden_output(capsys, monkeypatch):
+    """The whole battery at seed 0, byte for byte as committed."""
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--seed", "0"],
+                       env={"FIHOM_FORMAT": "kv"}, monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    assert out.encode() == GOLDEN.read_bytes()

@@ -4,6 +4,8 @@ import pytest
 
 from fihom import (
     AbelianClass,
+    FIModule,
+    FIMorphism,
     QQ,
     ZZ,
     complex_from_morphisms,
@@ -144,6 +146,21 @@ def test_non_composing_differentials_rejected():
     g = free_morphism([1], f.source, [[1]])     # identity again: f o g != 0
     with pytest.raises(ValueError, match="del o del != 0 at degree 2"):
         complex_from_morphisms([target, f.source, g.source], [f, g])
+
+
+def test_differential_endpoints_must_be_the_modules():
+    target = representable(1, 3, QQ)
+    f = free_morphism([1], target, [[1]])
+    src = f.source
+    # the same dims as M(1) with other structure maps: iota negated
+    twisted = FIModule(QQ, 3, src.dims, tuple(-m for m in src.iota), src.trans)
+    bad = FIMorphism(twisted, target, f.levels)
+    with pytest.raises(ValueError, match="differential 0 endpoints mismatch"):
+        complex_from_morphisms([target, src], [bad])
+    # an equal copy of the source is accepted
+    copy = FIModule(QQ, 3, src.dims, src.iota, src.trans, name=src.name)
+    W = complex_from_morphisms([target, src], [FIMorphism(copy, target, f.levels)])
+    assert W.modules[1] is src
 
 
 def test_validate_complex_empty_on_generated():

@@ -6,11 +6,14 @@ import pytest
 
 from fihom import (
     AbelianClass,
+    FIModule,
+    Matrix,
     QQ,
     ZZ,
     constant_module,
     degrees,
     delta_estimate,
+    direct_sum,
     fi_coker,
     fih_chain_complex,
     fih_group,
@@ -18,11 +21,13 @@ from fihom import (
     free_fi_module,
     free_morphism,
     hmax_estimate,
+    homology_class,
+    hyper_total_complex,
     representable,
     zero_module,
 )
 from fihom.fimodule import FBData
-from fihom.generate import gen_coker, gen_free
+from fihom.generate import gen_coker, gen_complex, gen_free
 
 
 def skyscraper(ring=QQ, trunc=3):
@@ -104,6 +109,107 @@ def test_euler_characteristic_per_level():
             chi_c = sum((-1) ** p * C.size(p) for p in range(n + 1))
             chi_h = sum((-1) ** p * C.homology(p).rank for p in range(n + 1))
             assert chi_c == chi_h
+
+
+# ---------------------------------------------------------------------------
+# homology of the built complexes: cached invariants, no products
+
+
+def doubling_module(trunc):
+    """Z at every level with iota = 2: H_0 is Z/2 at every level n >= 1."""
+    one = Matrix.identity(ZZ, 1)
+    return FIModule(ZZ, trunc, (1,) * (trunc + 1),
+                    (Matrix.from_rows(ZZ, [[2]]),) * trunc,
+                    tuple((one,) * max(0, n - 1) for n in range(trunc + 1)))
+
+
+def built_complexes():
+    """(build, degrees) pairs: cube complexes of gen_coker modules and total
+    complexes of gen_complex complexes, over Z and Q; build() returns a
+    fresh object, so each sweep starts with an empty cache."""
+    out = []
+    for s in range(2):
+        for ring in (ZZ, QQ):
+            V = gen_coker("cache:%d" % s, ring=ring, trunc=4).module
+            if V.ring == ZZ:
+                V = direct_sum(V, doubling_module(4))
+            for n in range(V.truncation + 1):
+                out.append((lambda V=V, n=n: fih_chain_complex(V, n),
+                            range(-1, n + 2)))
+            W = gen_complex("cache:%d" % s, ring=ring, trunc=3)
+            for n in range(W.truncation + 1):
+                out.append((lambda W=W, n=n: hyper_total_complex(W, n),
+                            range(W.q_min - 1, W.q_max + n + 2)))
+    return out
+
+
+def in_order(degs, order):
+    degs = list(degs)
+    if order == "descending":
+        degs.reverse()
+    elif order == "shuffled":
+        random.Random(len(degs)).shuffle(degs)
+    return degs
+
+
+ORDERS = ("ascending", "descending", "shuffled")
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_homology_matches_homology_class(order):
+    torsion = {ZZ: 0, QQ: 0}
+    for build, degs in built_complexes():
+        C = build()
+        got = {m: C.homology(m) for m in in_order(degs, order)}
+        for m in degs:
+            want = homology_class(C.boundary_in(m), C.boundary_out(m))
+            assert got[m] == want
+            torsion[C.boundary_in(m).ring] += len(want.torsion)
+    assert torsion[ZZ] > 0 and torsion[QQ] == 0
+
+
+def test_homology_sweep_multiplies_no_matrices(monkeypatch):
+    built = [(build(), degs) for build, degs in built_complexes()]
+
+    def refuse(self, other):
+        raise AssertionError("matrix product after construction")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    for C, degs in built:
+        for m in degs:
+            C.homology(m)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_homology_sweep_eliminates_each_differential_once(monkeypatch, order):
+    import fihom.homology as homology_module
+
+    calls = []   # (kind, matrix); the matrices are kept alive, so ids stay unique
+
+    def spy(kind, fn):
+        def wrapped(M):
+            calls.append((kind, M))
+            return fn(M)
+        return wrapped
+
+    monkeypatch.setattr(homology_module, "rank",
+                        spy("rank", homology_module.rank))
+    monkeypatch.setattr(homology_module, "elementary_divisors",
+                        spy("divisors", homology_module.elementary_divisors))
+    for build, degs in built_complexes():
+        C = build()
+        stored = C.d if hasattr(C, "d") else tuple(C.D.values())
+        index = {id(d): i for i, d in enumerate(stored)}
+        del calls[:]
+        for m in in_order(degs, order):
+            C.homology(m)
+        # a zero map that is not stored has one shape per kind in a sweep
+        keys = [(kind, index.get(id(M), M.shape)) for kind, M in calls]
+        assert len(keys) == len(set(keys))
+        if order == "ascending":
+            # rank comes from cached divisors: one elimination per map
+            differentials = [key for _, key in keys]
+            assert len(differentials) == len(set(differentials))
 
 
 # ---------------------------------------------------------------------------
