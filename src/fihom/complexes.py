@@ -189,7 +189,8 @@ def levelwise_homology_module(W: FIComplex, k) -> FIModule:
         return zero_module(N, QQ)
     quots = [QuotientCoords(W.diff_level(k + 1, n), W.diff_level(k, n))
              for n in range(N + 1)]
-    return _quotient_module(W.module(k), quots, name="H_%d" % k)
+    return _quotient_module(W.module(k), [(q.proj, q.lift) for q in quots],
+                            name="H_%d" % k)
 
 
 # ---------------------------------------------------------------------------

@@ -488,18 +488,22 @@ def shift_module(V: FIModule) -> ShiftData:
 
 
 def _quotient_module(W: FIModule, quots, name=""):
-    """The FIModule on the quotients quots[n] of W's levels, over Q.
+    """The FIModule on quotients of W's levels, over W's ring.
 
-    Its structure maps are the ones W's iota and transpositions induce;
-    the caller guarantees that they preserve the subspaces divided out.
+    quots[n] is a pair (proj, lift) of matrices with proj @ lift = 1: lift
+    sends quotient coordinates to representatives in W(n_), proj sends a
+    vector of W(n_) to the coordinates of its class.  Each structure map
+    of the quotient is proj @ (W's map) @ lift; the caller guarantees that
+    W's maps preserve the subspaces divided out.
     """
     N = W.truncation
-    iotas = tuple(quots[n].induced(W.iota[n], quots[n + 1]) for n in range(N))
+    projs, lifts = zip(*quots)
+    iotas = tuple(projs[n + 1] @ (W.iota[n] @ lifts[n]) for n in range(N))
     trans = tuple(
-        tuple(quots[n].induced(W.transposition(n, i), quots[n])
-              for i in range(1, n))
+        tuple(projs[n] @ (W.transposition(n, i) @ lifts[n]) for i in range(1, n))
         for n in range(N + 1))
-    return FIModule(QQ, N, tuple(q.dim for q in quots), iotas, trans, name=name)
+    return FIModule(W.ring, N, tuple(p.nrows for p in projs), iotas, trans,
+                    name=name)
 
 
 class CokernelTorsionError(ValueError):
@@ -517,48 +521,24 @@ def fi_coker(f: FIMorphism) -> FIModule:
     N = V.truncation
     ring = V.ring
     if ring == QQ:
-        return _quotient_module(W, [
-            QuotientCoords(f.levels[n], Matrix.zeros(QQ, 0, W.dims[n]))
-            for n in range(N + 1)])
-    # Z case: coker Z^d / im f = U^-1 (Z^d / im S); torsion free iff all d_i = 1
-    datas = []
+        quots = [QuotientCoords(f.levels[n], Matrix.zeros(QQ, 0, W.dims[n]))
+                 for n in range(N + 1)]
+        return _quotient_module(W, [(q.proj, q.lift) for q in quots])
+    # Z case: coker Z^d / im f = U^-1 (Z^d / im S); torsion free iff all d_i = 1,
+    # and then rows r.. of U project onto it and columns r.. of U^-1 lift it
+    quots = []
     for n in range(N + 1):
         res = snf(f.levels[n])
         ds = [d for d in res.divisors() if d]
         if any(d != 1 for d in ds):
             raise CokernelTorsionError(
                 "level %d cokernel has torsion %s" % (n, [d for d in ds if d != 1]))
-        r = len(ds)
-        datas.append((res, r))
-
-    def project(n, mat_cols):
-        res, r = datas[n]
-        d = W.dims[n]
-        out_rows = [{} for _ in range(d - r)]
-        for c in range(mat_cols.ncols):
-            img = res.U.mul_vec(mat_cols.column(c))
-            for t, v in enumerate(img[r:]):
-                if v:
-                    out_rows[t][c] = v
-        return Matrix(ZZ, d - r, mat_cols.ncols, out_rows)
-
-    def lift(n):
-        res, r = datas[n]
-        d = W.dims[n]
-        rows = [{} for _ in range(d)]
-        for t in range(d - r):
-            for k, v in enumerate(res.U_inv.column(r + t)):
-                if v:
-                    rows[k][t] = v
-        return Matrix(ZZ, d, d - r, rows)
-
-    lifts = [lift(n) for n in range(N + 1)]
-    dims = tuple(W.dims[n] - datas[n][1] for n in range(N + 1))
-    iotas = tuple(project(n + 1, W.iota[n] @ lifts[n]) for n in range(N))
-    trans = tuple(
-        tuple(project(n, W.transposition(n, i) @ lifts[n]) for i in range(1, n))
-        for n in range(N + 1))
-    return FIModule(ZZ, N, dims, iotas, trans)
+        r, d = len(ds), W.dims[n]
+        quots.append((
+            Matrix(ZZ, d - r, d, res.U.rows[r:]),
+            Matrix(ZZ, d, d - r, [{j - r: v for j, v in row.items() if j >= r}
+                                  for row in res.U_inv.rows])))
+    return _quotient_module(W, quots)
 
 
 def free_morphism(sources, target: FIModule, images) -> FIMorphism:
@@ -627,25 +607,13 @@ def _poset_presentation(V, n, K):
     coff = 0
     for S, T, pos in pairs:
         k = len(S)
-        blk = faces[k][pos]
-        toff = offset[T]
-        for i, r in enumerate(blk.rows):
-            for j, v in r.items():
-                rows[toff + i][coff + j] = rows[toff + i].get(coff + j, 0) + v
-        soff = offset[S]
-        one = 1 if ring == ZZ else Fraction(1)
-        for t in range(V.dims[k]):
-            # S and T blocks are disjoint rows, so no cancellation here
-            rows[soff + t][coff + t] = -one
+        _add_block(rows, offset[T], coff, faces[k][pos])
+        _add_block(rows, offset[S], coff, Matrix.identity(ring, V.dims[k]), -1)
         coff += V.dims[k]
     P = Matrix(ring, total, coff, rows)
     crows = [{} for _ in range(V.dims[n])]
     for S in subsets:
-        mat = induced_injection_matrix(V, S, a=len(S), b=n)
-        soff = offset[S]
-        for i, r in enumerate(mat.rows):
-            for j, v in r.items():
-                crows[i][soff + j] = v
+        _add_block(crows, 0, offset[S], induced_injection_matrix(V, S, a=len(S), b=n))
     c = Matrix(ring, V.dims[n], total, crows)
     return P, c
 

@@ -178,6 +178,8 @@ def _parse_module_body(cur, terminator):
         dims = tuple(int(t) for t in line.split()[1:])
     except ValueError:
         raise ParseError(cur.line_no - 1, "bad dims entry")
+    if any(d < 0 for d in dims):
+        raise ParseError(cur.line_no - 1, "negative dims entry")
     if len(dims) != N + 1:
         raise ParseError(cur.line_no - 1,
                          "dims has %d entries, truncation %d needs %d"

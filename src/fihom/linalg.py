@@ -387,32 +387,67 @@ def rank(M):
 
 
 def rref(M):
-    """(pivot columns, reduced dense rows) of a rational RREF of M."""
-    rows = [[Fraction(x) for x in row] for row in M.to_rows()]
-    nr, nc = M.nrows, M.ncols
-    pivots = []
-    ri = 0
-    for j in range(nc):
-        sel = None
-        for i in range(ri, nr):
-            if rows[i][j]:
-                sel = i
-                break
-        if sel is None:
+    """(pivot columns, rows) of the reduced row echelon form of M over Q.
+
+    Gauss-Jordan on sparse rows {col: Fraction}, with a column index.
+    Each step pivots at the leftmost column still live in the unplaced
+    rows (on the shortest row holding it) and clears that column from
+    every other row, so the pivots and rows are those of the unique RREF.
+    Clearing only fills columns right of the pivot, so one left-to-right
+    sweep meets every pivot.  Row t has 1 at pivots[t] and its other
+    entries at non-pivot columns.
+    """
+    rows = [dict(r) if M.ring == QQ else {j: Fraction(v) for j, v in r.items()}
+            for r in M.rows]
+    cols = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    pivots, placed = [], {}
+    for j in range(M.ncols):
+        live = [i for i in cols.get(j, ()) if i not in placed]
+        if not live:
             continue
-        rows[ri], rows[sel] = rows[sel], rows[ri]
-        pv = rows[ri][j]
+        pi = min(live, key=lambda i: (len(rows[i]), i))
+        r = rows[pi]
+        pv = r[j]
         if pv != 1:
-            rows[ri] = [x / pv for x in rows[ri]]
-        for i in range(nr):
-            if i != ri and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[ri])]
+            for k in r:
+                r[k] /= pv
+        for i in list(cols[j]):
+            if i == pi:
+                continue
+            ri = rows[i]
+            c = ri[j]
+            for k, v in r.items():
+                w = ri.get(k, 0) - c * v
+                if w:
+                    if k not in ri:
+                        cols.setdefault(k, set()).add(i)
+                    ri[k] = w
+                else:
+                    del ri[k]
+                    cols[k].discard(i)
         pivots.append(j)
-        ri += 1
-        if ri == nr:
-            break
-    return pivots, rows[:ri]
+        placed[pi] = r
+    return pivots, list(placed.values())
+
+
+def _kernel_matrix(ncols, pivots, rows):
+    """(free columns, K) for an RREF: K's column t spans ker at free[t].
+
+    Column t has 1 at free[t] and -rows[i][free[t]] at pivots[i], so the
+    restriction of K to the free positions is the identity.
+    """
+    pivset = set(pivots)
+    free = [j for j in range(ncols) if j not in pivset]
+    at = {f: t for t, f in enumerate(free)}
+    krows = [{} for _ in range(ncols)]
+    for t, f in enumerate(free):
+        krows[f][t] = Fraction(1)
+    for p, r in zip(pivots, rows):
+        krows[p] = {at[j]: -v for j, v in r.items() if j != p}
+    return free, Matrix(QQ, ncols, len(free), krows)
 
 
 def kernel_basis(M):
@@ -423,17 +458,8 @@ def kernel_basis(M):
     (which is saturated, hence a direct summand).
     """
     if M.ring == QQ:
-        pivots, rows = rref(M)
-        pivset = set(pivots)
-        free = [j for j in range(M.ncols) if j not in pivset]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * M.ncols
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -rows[i][f]
-            basis.append(v)
-        return basis
+        K = _kernel_matrix(M.ncols, *rref(M))[1]
+        return [K.column(t) for t in range(K.ncols)]
     res = snf(M)
     r = len([d for d in res.divisors() if d])
     return [res.V.column(j) for j in range(r, M.ncols)]
@@ -452,10 +478,8 @@ def image_basis(M):
     d_i * Uinv[:, i] read off the Smith form.
     """
     if M.ring == QQ:
-        pivots, rows = rref(M.transpose())
-        cols = [[rows[i][j] for j in range(M.nrows)] for i in range(len(rows))]
-        return Matrix.from_rows(QQ, [list(c) for c in zip(*cols)], ncols=len(cols)) \
-            if cols else Matrix.zeros(QQ, M.nrows, 0)
+        rows = rref(M.transpose())[1]
+        return Matrix(QQ, len(rows), M.nrows, rows).transpose()
     res = snf(M)
     ds = [d for d in res.divisors() if d]
     rows = [{} for _ in range(M.nrows)]
@@ -731,19 +755,15 @@ def solve_matrix(A, B):
                 yrows[i][j] = v // d
         Y = Matrix(A.ring, A.ncols, B.ncols, yrows)
         return res.V @ Y
-    aug = Matrix.from_rows(QQ, [
-        [A.entry(i, j) for j in range(A.ncols)]
-        + [B.entry(i, c) for c in range(B.ncols)]
-        for i in range(A.nrows)], ncols=A.ncols + B.ncols)
-    apiv, arows = rref(aug)
-    xrows = [{} for _ in range(A.ncols)]
-    for rrow, p in zip(arows, apiv):
-        if p >= A.ncols:
+    n = A.ncols
+    aug = Matrix(QQ, A.nrows, n + B.ncols,
+                 [{**a, **{n + c: v for c, v in b.items()}}
+                  for a, b in zip(A.rows, B.rows)])
+    xrows = [{} for _ in range(n)]
+    for p, r in zip(*rref(aug)):
+        if p >= n:
             return None  # a pivot in the B block: inconsistent system
-        for c in range(B.ncols):
-            v = rrow[A.ncols + c]
-            if v:
-                xrows[p][c] = v
+        xrows[p] = {j - n: v for j, v in r.items() if j >= n}
     return Matrix(QQ, A.ncols, B.ncols, xrows)
 
 
@@ -840,9 +860,13 @@ class QuotientCoords:
     """Explicit coordinates on H = ker(d_out)/im(d_in) over Q.
 
     Used wherever an actual basis of a homology or cokernel space is
-    needed (induced maps on homology, cokernel FI-modules).  `reduce`
-    sends an ambient cycle to its class coordinates, `rep` lifts a basis
-    class back to the ambient space.
+    needed (induced maps on homology, cokernel FI-modules).  Two sparse
+    matrices carry it: `lift` (ambient x dim) sends class coordinates to
+    representative cycles, `proj` (dim x ambient) sends a cycle to its
+    class coordinates.  The kernel of d_out is read off its RREF, one
+    basis vector per free column, so a cycle's kernel coordinates are its
+    entries at the free columns; the classes are the kernel coordinates
+    that are not pivots of the RREF of im(d_in) in those coordinates.
     """
 
     def __init__(self, d_in, d_out):
@@ -851,63 +875,38 @@ class QuotientCoords:
         if d_in.nrows != d_out.ncols:
             raise ValueError("middle dimension mismatch")
         self.ambient_dim = d_in.nrows
-        pivots, rows = rref(d_out)
-        pivset = set(pivots)
-        self._free = [j for j in range(d_out.ncols) if j not in pivset]
-        self._kpivots = pivots
-        self._krows = rows
-        # kernel basis column f: 1 at f, -rref coeffs at the pivot rows;
-        # its restriction to the free positions is the identity, so
-        # kernel coordinates of a cycle are just its free-position entries.
-        y = [[d_in.entry(f, j) for j in range(d_in.ncols)] for f in self._free]
-        ymat = Matrix.from_rows(QQ, y, ncols=d_in.ncols)
-        ypiv, yrows = rref(ymat.transpose())
-        self._qpivots = ypiv
-        self._qrows = yrows
+        free, self._kernel = _kernel_matrix(d_out.ncols, *rref(d_out))
+        # im(d_in) in kernel coordinates: the free-position rows of d_in
+        y = Matrix(QQ, len(free), d_in.ncols, [d_in.rows[f] for f in free])
+        ypiv, yrows = rref(y.transpose())
         qpivset = set(ypiv)
-        self._coords = [t for t in range(len(self._free)) if t not in qpivset]
-        self.dim = len(self._coords)
+        coords = [t for t in range(len(free)) if t not in qpivset]
+        at = {t: s for s, t in enumerate(coords)}
+        self.dim = len(coords)
+        self.lift = Matrix(QQ, self.ambient_dim, self.dim, [
+            {at[t]: v for t, v in r.items() if t in at} for r in self._kernel.rows])
+        prows = [{free[t]: Fraction(1)} for t in coords]
+        for p, r in zip(ypiv, yrows):
+            for t, v in r.items():
+                if t != p:
+                    prows[at[t]][free[p]] = -v
+        self.proj = Matrix(QQ, self.dim, self.ambient_dim, prows)
 
     def kernel_vector(self, kcoords):
-        v = [Fraction(0)] * self.ambient_dim
-        for t, f in enumerate(self._free):
-            c = kcoords[t]
-            if c:
-                v[f] += c
-                for i, p in enumerate(self._kpivots):
-                    v[p] -= c * self._krows[i][f]
-        return v
+        """The cycle with kernel coordinates kcoords."""
+        return self._kernel.mul_vec(kcoords)
 
     def reduce(self, vec):
         """Class coordinates of an ambient cycle (must lie in ker d_out)."""
-        k = [Fraction(vec[f]) for f in self._free]
-        for row, p in zip(self._qrows, self._qpivots):
-            c = k[p]
-            if c:
-                k = [a - c * b for a, b in zip(k, row)]
-        return [k[t] for t in self._coords]
+        return self.proj.mul_vec(vec)
 
     def rep(self, t):
         """Ambient representative of the t-th basis class."""
-        k = [Fraction(0)] * len(self._free)
-        k[self._coords[t]] = Fraction(1)
-        return self.kernel_vector(k)
+        return self.lift.column(t)
 
     def rep_matrix(self):
-        cols = [self.rep(t) for t in range(self.dim)]
-        rows = [{} for _ in range(self.ambient_dim)]
-        for t, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if v:
-                    rows[i][t] = v
-        return Matrix(QQ, self.ambient_dim, self.dim, rows)
+        return self.lift
 
     def induced(self, chain_map, target):
         """Matrix of the map H -> H' induced by an ambient chain_map."""
-        rows = [{} for _ in range(target.dim)]
-        for t in range(self.dim):
-            img = chain_map.mul_vec(self.rep(t))
-            for i, v in enumerate(target.reduce(img)):
-                if v:
-                    rows[i][t] = v
-        return Matrix(QQ, target.dim, self.dim, rows)
+        return target.proj @ (chain_map @ self.lift)

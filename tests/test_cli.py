@@ -67,6 +67,20 @@ def test_validate_corrupt_file(capsys, tmp_path, m2_file):
     assert "s_1" in err
 
 
+@pytest.mark.parametrize("text", [
+    "fimodule\nring Z\ntruncation 0\ndims -1\nend\n",
+    "ficomplex\nring Z\ntruncation 0\nqmin 0\nmodules 1\nmodule 0\n"
+    "ring Z\ntruncation 0\ndims -2\nendmodule\nend\n",
+], ids=["module", "complex"])
+def test_validate_negative_dims_is_verification_failure(capsys, tmp_path, text):
+    bad = tmp_path / "neg.txt"
+    bad.write_text(text)
+    code, out, err = run(capsys, ["validate", str(bad)])
+    assert code == EXIT_FAIL
+    assert "negative dims" in err
+    assert "ok" not in out
+
+
 def test_module_command_rejects_complex_file(capsys, complex_file):
     code, _, err = run(capsys, ["degrees", complex_file])
     assert code == EXIT_FAIL

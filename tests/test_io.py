@@ -122,6 +122,17 @@ def test_unknown_ring_rejected():
         parse(text)
 
 
+@pytest.mark.parametrize("text, line_no", [
+    ("fimodule\nring Z\ntruncation 0\ndims -1\nend\n", 4),
+    ("ficomplex\nring Z\ntruncation 0\nqmin 0\nmodules 1\nmodule 0\n"
+     "ring Z\ntruncation 0\ndims -2\nendmodule\nend\n", 9),
+], ids=["module", "complex"])
+def test_negative_dims_entry_is_a_parse_error(text, line_no):
+    with pytest.raises(ParseError, match="negative dims") as err:
+        parse(text)
+    assert err.value.line_no == line_no
+
+
 # ---------------------------------------------------------------------------
 # validation errors name the broken relation
 

@@ -24,6 +24,7 @@ from fihom import (
     rank,
     rank_kernel,
     representable,
+    rref,
     snf,
     solve_matrix,
 )
@@ -628,3 +629,254 @@ def test_q_det_matches_gauss():
         if 0 < min(d.shape) <= 30:
             G = d @ d.transpose() if d.nrows <= d.ncols else d.transpose() @ d
             assert det(G) == old_det_q(G)
+
+
+# ---------------------------------------------------------------------------
+# the sparse RREF and its readers against the dense routines they replaced
+#
+# old_rref, OldQuotientCoords and the old_* Q readers are the dense
+# Gauss-Jordan, the per-vector quotient coordinates and the kernel, image
+# and solve branches as they stood before one sparse RREF served them all.
+
+
+def old_rref(M):
+    """(pivot columns, reduced dense rows) of a rational RREF of M."""
+    rows = [[Fraction(x) for x in row] for row in M.to_rows()]
+    nr, nc = M.nrows, M.ncols
+    pivots = []
+    ri = 0
+    for j in range(nc):
+        sel = None
+        for i in range(ri, nr):
+            if rows[i][j]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[ri], rows[sel] = rows[sel], rows[ri]
+        pv = rows[ri][j]
+        if pv != 1:
+            rows[ri] = [x / pv for x in rows[ri]]
+        for i in range(nr):
+            if i != ri and rows[i][j]:
+                c = rows[i][j]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[ri])]
+        pivots.append(j)
+        ri += 1
+        if ri == nr:
+            break
+    return pivots, rows[:ri]
+
+
+def old_kernel_basis_q(M):
+    pivots, rows = old_rref(M)
+    pivset = set(pivots)
+    basis = []
+    for f in [j for j in range(M.ncols) if j not in pivset]:
+        v = [Fraction(0)] * M.ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        basis.append(v)
+    return basis
+
+
+def old_image_basis_q(M):
+    pivots, rows = old_rref(M.transpose())
+    cols = [[rows[i][j] for j in range(M.nrows)] for i in range(len(rows))]
+    return Matrix.from_rows(QQ, [list(c) for c in zip(*cols)], ncols=len(cols)) \
+        if cols else Matrix.zeros(QQ, M.nrows, 0)
+
+
+def old_solve_q(A, B):
+    aug = Matrix.from_rows(QQ, [
+        [A.entry(i, j) for j in range(A.ncols)]
+        + [B.entry(i, c) for c in range(B.ncols)]
+        for i in range(A.nrows)], ncols=A.ncols + B.ncols)
+    apiv, arows = old_rref(aug)
+    xrows = [{} for _ in range(A.ncols)]
+    for rrow, p in zip(arows, apiv):
+        if p >= A.ncols:
+            return None
+        for c in range(B.ncols):
+            v = rrow[A.ncols + c]
+            if v:
+                xrows[p][c] = v
+    return Matrix(QQ, A.ncols, B.ncols, xrows)
+
+
+class OldQuotientCoords:
+    """Dense coordinates on ker(d_out)/im(d_in) over Q."""
+
+    def __init__(self, d_in, d_out):
+        self.ambient_dim = d_in.nrows
+        pivots, rows = old_rref(d_out)
+        pivset = set(pivots)
+        self._free = [j for j in range(d_out.ncols) if j not in pivset]
+        self._kpivots = pivots
+        self._krows = rows
+        y = [[d_in.entry(f, j) for j in range(d_in.ncols)] for f in self._free]
+        ymat = Matrix.from_rows(QQ, y, ncols=d_in.ncols)
+        ypiv, yrows = old_rref(ymat.transpose())
+        self._qpivots = ypiv
+        self._qrows = yrows
+        qpivset = set(ypiv)
+        self._coords = [t for t in range(len(self._free)) if t not in qpivset]
+        self.dim = len(self._coords)
+
+    def kernel_vector(self, kcoords):
+        v = [Fraction(0)] * self.ambient_dim
+        for t, f in enumerate(self._free):
+            c = kcoords[t]
+            if c:
+                v[f] += c
+                for i, p in enumerate(self._kpivots):
+                    v[p] -= c * self._krows[i][f]
+        return v
+
+    def reduce(self, vec):
+        k = [Fraction(vec[f]) for f in self._free]
+        for row, p in zip(self._qrows, self._qpivots):
+            c = k[p]
+            if c:
+                k = [a - c * b for a, b in zip(k, row)]
+        return [k[t] for t in self._coords]
+
+    def rep(self, t):
+        k = [Fraction(0)] * len(self._free)
+        k[self._coords[t]] = Fraction(1)
+        return self.kernel_vector(k)
+
+    def rep_matrix(self):
+        cols = [self.rep(t) for t in range(self.dim)]
+        rows = [{} for _ in range(self.ambient_dim)]
+        for t, col in enumerate(cols):
+            for i, v in enumerate(col):
+                if v:
+                    rows[i][t] = v
+        return Matrix(QQ, self.ambient_dim, self.dim, rows)
+
+    def induced(self, chain_map, target):
+        rows = [{} for _ in range(target.dim)]
+        for t in range(self.dim):
+            img = chain_map.mul_vec(self.rep(t))
+            for i, v in enumerate(target.reduce(img)):
+                if v:
+                    rows[i][t] = v
+        return Matrix(QQ, target.dim, self.dim, rows)
+
+
+def sparse_q(seed):
+    """A rational SPARSE matrix with a zero row and an exactly repeated row."""
+    import random
+
+    rng = random.Random("sparse-rref:%d" % seed)
+    M = rational_rows(SPARSE[seed], seed)
+    rows = [dict(r) for r in M.rows]
+    z, a, b = rng.sample(range(M.nrows), 3)
+    rows[z] = {}
+    rows[a] = dict(rows[b])
+    return Matrix.from_sparse(QQ, M.nrows, M.ncols, rows)
+
+
+SPARSE_Q = [sparse_q(seed) for seed in range(30)] + [
+    Matrix.zeros(QQ, 0, 7), Matrix.zeros(QQ, 7, 0), Matrix.zeros(QQ, 0, 0),
+    Matrix.zeros(QQ, 5, 6)]
+
+
+def dense_rows(rows, ncols):
+    return [[r.get(j, 0) for j in range(ncols)] for r in rows]
+
+
+def test_sparse_q_matrices_are_degenerate():
+    # every matrix has a zero row and a repeated row; the set holds
+    # matrices short of full row rank and short of full column rank
+    for M in SPARSE_Q[:30]:
+        assert {} in M.rows
+        assert len({tuple(sorted(r.items())) for r in M.rows}) < M.nrows
+    assert any(rank(M) < M.ncols for M in SPARSE_Q)
+    assert any(0 < rank(M) < M.nrows - 1 for M in SPARSE_Q)
+
+
+def test_rref_matches_old_rref():
+    for M in SPARSE_Q + [M.transpose() for M in SPARSE_Q]:
+        pivots, rows = rref(M)
+        opiv, orows = old_rref(M)
+        assert pivots == opiv
+        assert dense_rows(rows, M.ncols) == orows
+        assert all(r[p] == 1 for p, r in zip(pivots, rows))
+
+
+def test_rref_of_an_integer_matrix_is_rational():
+    for M in SPARSE[:5]:
+        pivots, rows = rref(M)
+        assert (pivots, rows) == rref(M.to_ring(QQ))
+        assert all(isinstance(v, Fraction) for r in rows for v in r.values())
+
+
+def test_kernel_and_image_bases_match_the_old_formulas():
+    for M in SPARSE_Q:
+        assert kernel_basis(M) == old_kernel_basis_q(M)
+        assert image_basis(M) == old_image_basis_q(M)
+        assert image_basis(M.transpose()) == old_image_basis_q(M.transpose())
+
+
+def test_q_solve_matches_the_old_formula():
+    import random
+
+    rng = random.Random("q-solve")
+    inconsistent = 0
+    for M in SPARSE_Q:
+        X = Matrix.from_sparse(QQ, M.ncols, 3, [
+            {c: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for c in range(3)
+             if rng.random() < 0.5} for _ in range(M.ncols)])
+        B = M @ X
+        assert solve_matrix(M, B) == old_solve_q(M, B)
+        assert M @ solve_matrix(M, B) == B
+        junk = Matrix.from_sparse(QQ, M.nrows, 2, [
+            {c: Fraction(rng.randint(-3, 3)) for c in range(2)} for _ in range(M.nrows)])
+        assert solve_matrix(M, junk) == old_solve_q(M, junk)
+        inconsistent += solve_matrix(M, junk) is None
+    assert inconsistent > 20
+
+
+def coker_cube_maps(seeds=range(12)):
+    """(A, B, phi): cube complexes of gen_coker Q modules V at truncation 5
+    and of their shifts SV, at every level, with the chain map V -> SV."""
+    from fihom.complexes import _cube_chain_map
+    from fihom.fimodule import shift_module, truncate
+    from fihom.generate import gen_coker
+
+    for seed in seeds:
+        V = gen_coker("quot:%d" % seed, ring=QQ, trunc=5).module
+        sd = shift_module(V)
+        for n in range(V.truncation):
+            yield _cube_chain_map(truncate(V, V.truncation - 1), sd.module,
+                                  sd.natural, n)
+
+
+def test_quotient_coords_match_old_on_cube_complexes():
+    import random
+
+    rng = random.Random("quot")
+    classes = induced = 0
+    for A, B, phi in coker_cube_maps():
+        for a in range(len(phi)):
+            pairs = [(QuotientCoords(X.boundary_in(a), X.boundary_out(a)),
+                      OldQuotientCoords(X.boundary_in(a), X.boundary_out(a)))
+                     for X in (A, B)]
+            for q, old in pairs:
+                assert (q.ambient_dim, q.dim) == (old.ambient_dim, old.dim)
+                assert q.rep_matrix() == old.rep_matrix()
+                assert all(q.rep(t) == old.rep(t) for t in range(q.dim))
+                for _ in range(3):
+                    k = [Fraction(rng.randint(-3, 3)) for _ in old._free]
+                    cycle = old.kernel_vector(k)
+                    assert q.kernel_vector(k) == cycle
+                    assert q.reduce(cycle) == old.reduce(cycle)
+                classes += q.dim
+            (qa, oa), (qb, ob) = pairs
+            got = qa.induced(phi[a], qb)
+            assert got == oa.induced(phi[a], ob)
+            induced += not got.is_zero()
+    assert classes > 80 and induced > 10
