@@ -522,155 +522,224 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
+def _dense_to_matrix(A, ncols):
+    """Dense int rows as a Z Matrix, without from_rows' per-entry checks."""
+    return Matrix(ZZ, len(A), ncols, [{j: v for j, v in enumerate(r) if v} for r in A])
+
+
+def _transpose_rows(A, ncols):
+    return [list(c) for c in zip(*A)] if A else [[] for _ in range(ncols)]
+
+
+def _row_op(R, Ti, i, k, q, lo):
+    """R_i -= q R_k on the rows R from column lo on; the rows Ti of the
+    transpose of the inverse transform get R_k += q R_i."""
+    X, Y = R[i], R[k]
+    for c in range(lo, len(X)):
+        X[c] -= q * Y[c]
+    X, Y = Ti[k], Ti[i]
+    for c in range(len(X)):
+        X[c] += q * Y[c]
+
+
+def _mix(T, Ti, i, k, x, y, z, w):
+    """(R_i, R_k) <- (x R_i + y R_k, z R_i + w R_k) on T, xw - yz = 1; Ti follows."""
+    T[i], T[k] = ([x * a + y * b for a, b in zip(T[i], T[k])],
+                  [z * a + w * b for a, b in zip(T[i], T[k])])
+    Ti[i], Ti[k] = ([w * a - z * b for a, b in zip(Ti[i], Ti[k])],
+                    [-y * a + x * b for a, b in zip(Ti[i], Ti[k])])
+
+
+def _hermite(R, Ti, S, Si, ncols):
+    """Row Hermite form of A, with its columns permuted, in place.
+
+    R holds the rows of [A | T], A with `ncols` columns and T the
+    transform so far; Ti holds the rows of the transpose of T's inverse
+    and follows every row op.  S and Si are the transforms of the other
+    side, whose rows j and k swap when columns j and k of A do.  Step t
+    takes the smallest nonzero entry left in the rows and columns t.. and
+    swaps its column to t.  The other rows are reduced against the smallest
+    entry of that column by nearest-integer quotients, round by round,
+    until one nonzero entry is left; that pivot goes to (t, t), is made
+    positive, and the entries above it are reduced into [0, pivot).  Rows
+    t.. vanish before column t, so every row op starts at column t.
+    """
+    m = len(R)
+    for t in range(min(m, ncols)):
+        best = 0
+        for i in range(t, m):
+            Ri = R[i]
+            for j in range(t, ncols):
+                v = Ri[j]
+                if v and (not best or abs(v) < best):
+                    best, at = abs(v), j
+            if best == 1:
+                break
+        if not best:
+            return
+        if at != t:
+            for row in R:
+                row[at], row[t] = row[t], row[at]
+            for X in (S, Si):
+                X[at], X[t] = X[t], X[at]
+        while True:
+            live = [i for i in range(t, m) if R[i][t]]
+            p = min(live, key=lambda i: abs(R[i][t]))
+            if len(live) == 1:
+                break
+            pv = R[p][t]
+            for i in live:
+                if i != p:
+                    _row_op(R, Ti, i, p, (2 * R[i][t] + pv) // (2 * pv), t)
+        if p != t:
+            for X in (R, Ti):
+                X[p], X[t] = X[t], X[p]
+        if R[t][t] < 0:
+            for X in (R, Ti):
+                X[t] = [-a for a in X[t]]
+        pv = R[t][t]
+        for i in range(t):
+            q = R[i][t] // pv
+            if q:
+                _row_op(R, Ti, i, t, q, t)
+
+
+def _is_diagonal(A):
+    return all(not v or i == j for i, r in enumerate(A) for j, v in enumerate(r))
+
+
 def snf(M):
     """Smith normal form of an integer matrix, with transforms.
 
-    Row/column reduction by 2x2 unimodular (xgcd) steps, which keeps
-    coefficient growth polynomial.  Correctness rests on the returned
-    identity U @ M @ V == S, not on the pivot strategy.
+    Row and column Hermite reductions alternate until the matrix is
+    diagonal, after Kannan and Bachem (SIAM J. Comput. 8, 1979); then 2x2
+    gcd/lcm steps fix the divisibility chain.  Each Hermite pass reduces
+    the entries above every pivot modulo the pivot, which keeps the
+    entries of U, V and their inverses small (a few hundred bits at 40x40
+    on entries in [-9, 9]).  The transforms follow every step in place.
     """
     if M.ring != ZZ:
         raise ValueError("snf needs a Z matrix, got ring %s" % M.ring)
     m, n = M.nrows, M.ncols
-    A = [[M.entry(i, j) for j in range(n)] for i in range(m)]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    Ui = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    Vi = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i, k, q):  # R_i -= q R_k ; U follows, Uinv absorbs the inverse
-        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-        for t in range(m):
-            Ui[t][k] += q * Ui[t][i]
-
-    def row_swap(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-        for t in range(m):
-            Ui[t][i], Ui[t][k] = Ui[t][k], Ui[t][i]
-
-    def row_neg(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-        for t in range(m):
-            Ui[t][i] = -Ui[t][i]
-
-    def row_mix(i, k, x, y, z, w):
-        # (R_i, R_k) <- (x R_i + y R_k, z R_i + w R_k), det = xw - yz = 1
-        A[i], A[k] = ([x * a + y * b for a, b in zip(A[i], A[k])],
-                      [z * a + w * b for a, b in zip(A[i], A[k])])
-        U[i], U[k] = ([x * a + y * b for a, b in zip(U[i], U[k])],
-                      [z * a + w * b for a, b in zip(U[i], U[k])])
-        for t in range(m):  # Uinv <- Uinv @ T^-1, T^-1 = [[w, -y], [-z, x]]
-            ci, ck = Ui[t][i], Ui[t][k]
-            Ui[t][i] = w * ci - z * ck
-            Ui[t][k] = -y * ci + x * ck
-    def col_op(j, k, q):  # C_j -= q C_k
-        for t in range(m):
-            A[t][j] -= q * A[t][k]
-        for t in range(n):
-            V[t][j] -= q * V[t][k]
-        Vi[k] = [a + q * b for a, b in zip(Vi[k], Vi[j])]
-
-    def col_swap(j, k):
-        for t in range(m):
-            A[t][j], A[t][k] = A[t][k], A[t][j]
-        for t in range(n):
-            V[t][j], V[t][k] = V[t][k], V[t][j]
-        Vi[j], Vi[k] = Vi[k], Vi[j]
-
-    def col_mix(j, k, x, y, z, w):
-        # (C_j, C_k) <- (x C_j + y C_k, z C_j + w C_k), det = 1
-        for t in range(m):
-            cj, ck = A[t][j], A[t][k]
-            A[t][j] = x * cj + y * ck
-            A[t][k] = z * cj + w * ck
-        for t in range(n):
-            cj, ck = V[t][j], V[t][k]
-            V[t][j] = x * cj + y * ck
-            V[t][k] = z * cj + w * ck
-        Vi[j], Vi[k] = ([w * a - z * b for a, b in zip(Vi[j], Vi[k])],
-                        [-y * a + x * b for a, b in zip(Vi[j], Vi[k])])
-
-    t = 0
-    while t < m and t < n:
-        # bring a small nonzero entry to the pivot slot
-        piv = None
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                a = Ai[j]
-                if a:
-                    a = -a if a < 0 else a
-                    if piv is None or a < piv[0]:
-                        piv = (a, i, j)
-                        if a == 1:
-                            break
-            if piv is not None and piv[0] == 1:
-                break
-        if piv is None:
+    A = M.to_rows()
+    I_m, I_n = Matrix.identity(ZZ, m), Matrix.identity(ZZ, n)
+    U, Ui_t = I_m.to_rows(), I_m.to_rows()  # U, (U^-1)^T
+    V_t, Vi = I_n.to_rows(), I_n.to_rows()  # V^T, V^-1
+    while True:
+        R = [a + u for a, u in zip(A, U)]
+        _hermite(R, Ui_t, V_t, Vi, n)
+        A, U = [r[:n] for r in R], [r[n:] for r in R]
+        if _is_diagonal(A):
             break
-        _, pi, pj = piv
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        if A[t][t] < 0:
-            row_neg(t)
-        while True:
-            for i in range(t + 1, m):
-                b = A[i][t]
-                if b:
-                    a = A[t][t]
-                    if b % a == 0:
-                        row_op(i, t, b // a)
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        row_mix(t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, n):
-                b = A[t][j]
-                if b:
-                    a = A[t][t]
-                    if b % a == 0:
-                        col_op(j, t, b // a)
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        col_mix(t, j, x, y, -(b // g), a // g)
-            if all(A[i][t] == 0 for i in range(t + 1, m)):
-                break  # col mixes can re-dirty column t; each one shrinks the pivot
-        # divisibility: fold any non-multiple into row t and redo this pivot
-        d = A[t][t]
-        bad = None
-        for i in range(t + 1, m):
-            Ai = A[i]
-            for j in range(t + 1, n):
-                if Ai[j] % d:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_op(t, bad, -1)  # adds row `bad` to row t
-            continue
-        t += 1
-
-    S = Matrix.from_rows(ZZ, A, ncols=n) if m else Matrix.zeros(ZZ, 0, n)
+        R = [a + v for a, v in zip(_transpose_rows(A, n), V_t)]
+        _hermite(R, Vi, U, Ui_t, m)  # A V = (V^T A^T)^T
+        A, V_t = _transpose_rows([r[:m] for r in R], m), [r[m:] for r in R]
+        if _is_diagonal(A):
+            break
+    k = min(m, n)
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = A[i][i], A[j][j]
+            if a and b % a:
+                # diag(a, b) -> diag(g, ab/g) by [[x, y], [-b/g, a/g]] on the
+                # rows and [[1, -yb/g], [1, xa/g]] on the columns
+                g, x, y = _xgcd(a, b)
+                A[i][i], A[j][j] = g, a // g * b
+                _mix(U, Ui_t, i, j, x, y, -(b // g), a // g)
+                _mix(V_t, Vi, i, j, 1, 1, -(y * b // g), x * a // g)
     return SNFResult(
-        S=S,
-        U=Matrix.from_rows(ZZ, U, ncols=m) if m else Matrix.zeros(ZZ, 0, 0),
-        V=Matrix.from_rows(ZZ, V, ncols=n) if n else Matrix.zeros(ZZ, 0, 0),
-        U_inv=Matrix.from_rows(ZZ, Ui, ncols=m) if m else Matrix.zeros(ZZ, 0, 0),
-        V_inv=Matrix.from_rows(ZZ, Vi, ncols=n) if n else Matrix.zeros(ZZ, 0, 0),
+        S=_dense_to_matrix(A, n),
+        U=_dense_to_matrix(U, m),
+        V=_dense_to_matrix(V_t, n).transpose(),
+        U_inv=_dense_to_matrix(Ui_t, m).transpose(),
+        V_inv=_dense_to_matrix(Vi, n),
     )
+
+
+def _clear_column_mod(rows, i, j, D):
+    """Row steps over Z/DZ leaving rows[i][j] alone in column j.
+
+    A multiple of the pivot is cleared by subtraction, which leaves row i
+    as it is; any other entry b by the 2x2 xgcd step, which lowers the
+    pivot a to gcd(a, b) < a.
+    """
+    for k, row in enumerate(rows):
+        b = row[j]
+        if k == i or not b:
+            continue
+        a = rows[i][j]
+        if b % a == 0:
+            q = b // a
+            rows[k] = [(v - q * u) % D for u, v in zip(rows[i], row)]
+            continue
+        g, x, y = _xgcd(a, b)
+        a, b = a // g, b // g  # [[x, y], [-b, a]] has det 1
+        rows[i], rows[k] = ([(x * u + y * v) % D for u, v in zip(rows[i], row)],
+                            [(a * v - b * u) % D for u, v in zip(rows[i], row)])
+
+
+def _divisors_mod(A, r, D):
+    """The r nonzero elementary divisors of the dense rows A, of rank r,
+    given the absolute value D of a nonzero r x r minor.
+
+    d_1 ... d_r divides every r x r minor, so each d_i divides D, and A is
+    diagonalized over Z/DZ with every entry kept in [0, D), after
+    Hafner-McCurley (SIAM J. Comput. 20, 1991) and Iliopoulos (SIAM J.
+    Comput. 18, 1989).  A pivot that is a unit mod D is one divisor 1 and
+    needs row steps only.  Any other pivot is made the only nonzero entry
+    of its row and column by `_clear_column_mod` on the rows and on the
+    transpose, repeated while the column steps refill its column, which
+    only an xgcd step that lowers the pivot can do.  The cyclic factors
+    Z/gcd(pivot, D), and one Z/D for each row without a pivot, make
+    coker A (x) Z/DZ, whose invariant factors are d_1, ..., d_r, D, ...,
+    D; 2x2 gcd/lcm steps sort them.
+    """
+    rows = [[v % D for v in row] for row in A]
+    found = []
+    while True:
+        rows = [row for row in rows if any(row)]
+        if not rows:
+            break
+        unit = next(((i, j) for i, row in enumerate(rows)
+                     for j, v in enumerate(row) if v and gcd(v, D) == 1), None)
+        if unit is not None:
+            i, j = unit
+            prow = rows.pop(i)
+            inv = pow(prow[j], -1, D)
+            prow = [v * inv % D for v in prow]
+            for k, row in enumerate(rows):
+                c = row[j]
+                if c:
+                    rows[k] = [(a - c * b) % D for a, b in zip(row, prow)]
+            found.append(1)
+        else:
+            _, i, j = min((v, i, j) for i, row in enumerate(rows)
+                          for j, v in enumerate(row) if v)
+            while True:
+                _clear_column_mod(rows, i, j, D)
+                cols = _transpose_rows(rows, len(rows[0]))
+                _clear_column_mod(cols, j, i, D)
+                rows = _transpose_rows(cols, len(rows))
+                if not any(row[j] for k, row in enumerate(rows) if k != i):
+                    break
+            found.append(gcd(rows.pop(i)[j], D))
+        for row in rows:
+            del row[j]
+    for i in range(len(found)):
+        for j in range(i + 1, len(found)):
+            a, b = found[i], found[j]
+            if b % a:
+                found[i], found[j] = gcd(a, b), lcm(a, b)
+    return (found + [D] * r)[:r]
 
 
 def elementary_divisors(M):
     """Nonzero diagonal of the Smith form of M, without transforms.
 
     Unit pivots are peeled off sparsely first (`_eliminate` in unit mode,
-    one unit divisor each).  The small residue goes through the dense
-    routine.
+    one unit divisor each).  On the residue, Bareiss with full pivoting
+    gives the rank r and a nonzero r x r minor D; the other divisors are
+    read off a Smith form modulo D (`_divisors_mod`).
     """
     if M.ring != ZZ:
         raise ValueError("elementary divisors need a Z matrix")
@@ -685,31 +754,43 @@ def elementary_divisors(M):
     for k, i in enumerate(live_rows):
         for j, v in rows[i].items():
             dense[k][cindex[j]] = v
-    res = snf(Matrix.from_rows(ZZ, dense, ncols=len(live_cols)))
-    tail = [d for d in res.divisors() if d]
-    return [1] * ones + tail
+    r, minor = _bareiss([row[:] for row in dense], len(live_cols))
+    return [1] * ones + _divisors_mod(dense, r, abs(minor))
 
 
-def _bareiss(A):
-    """Determinant of a square integer matrix given as dense rows (consumed)."""
-    n = len(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+def _bareiss(A, ncols):
+    """(rank r, nonzero r x r minor) of dense integer rows A, consumed.
+
+    Fraction-free elimination after Bareiss (Math. Comp. 22, 1968): the
+    pivot of step k is a (k+1) x (k+1) minor.  A zero pivot is replaced
+    from below in its column, each row swap flipping the sign, else from
+    a column to its right.  For a square A of full rank no column swap
+    happens, so the minor is det A; otherwise only its size is used.  The
+    empty minor of a zero matrix is 1.
+    """
+    m = len(A)
+    sign = prev = 1
+    for k in range(min(m, ncols)):
         if not A[k][k]:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1] if n else 1
+            at = next(((i, j) for j in range(k, ncols) for i in range(k, m) if A[i][j]), None)
+            if at is None:
+                return k, sign * prev
+            i, j = at
+            if i != k:
+                A[k], A[i] = A[i], A[k]
+                sign = -sign
+            if j != k:  # column k is zero from row k on: A is not square of full rank
+                for row in A[k:]:
+                    row[k], row[j] = row[j], row[k]
+        pk, pr = A[k][k], A[k]
+        right = range(k + 1, ncols)
+        for i in range(k + 1, m):
+            Ai = A[i]
+            a = Ai[k]
+            for j in right:
+                Ai[j] = (Ai[j] * pk - a * pr[j]) // prev
+        prev = pk
+    return min(m, ncols), sign * prev
 
 
 def det(M):
@@ -720,12 +801,15 @@ def det(M):
     """
     if M.nrows != M.ncols:
         raise ValueError("determinant of a non-square matrix")
+    n = M.nrows
     A = M.to_rows()
     if M.ring == ZZ:
-        return _bareiss(A)
+        r, minor = _bareiss(A, n)
+        return minor if r == n else 0
     mults = [lcm(*(x.denominator for x in row)) for row in A]
     A = [[int(x * L) for x in row] for row, L in zip(A, mults)]
-    return Fraction(_bareiss(A), prod(mults))
+    r, minor = _bareiss(A, n)
+    return Fraction(minor if r == n else 0, prod(mults))
 
 
 def solve_matrix(A, B):

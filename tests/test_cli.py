@@ -403,3 +403,22 @@ def test_verify_all_seed0_matches_the_golden_output(capsys, monkeypatch):
                        env={"FIHOM_FORMAT": "kv"}, monkeypatch=monkeypatch)
     assert code == EXIT_OK
     assert out.encode() == GOLDEN.read_bytes()
+
+
+HYPER_GOLDEN = Path(__file__).parent / "data" / "hyper-bench-Z.kv"
+HYPER_FILES = sorted((Path(__file__).parent.parent / "bench" / "data" / "hyper").glob("*.fic"))
+
+
+def test_hyper_on_the_bench_complexes_matches_the_golden_output(capsys, monkeypatch):
+    """`fihom hyper FILE --level n` under kv for the frozen bench complexes
+    (file names sorted, levels 0..6), concatenated, byte for byte."""
+    assert [f.name for f in HYPER_FILES] == [
+        "complex-s2.fic", "complex-s3.fic", "complex-s4.fic", "complex-s6.fic"]
+    monkeypatch.setenv("FIHOM_FORMAT", "kv")
+    out = []
+    for path in HYPER_FILES:
+        for level in range(7):
+            code, text, _ = run(capsys, ["hyper", str(path), "--level", str(level)])
+            assert code == EXIT_OK
+            out.append(text)
+    assert "".join(out).encode() == HYPER_GOLDEN.read_bytes()

@@ -212,6 +212,63 @@ def test_homology_sweep_eliminates_each_differential_once(monkeypatch, order):
             assert len(differentials) == len(set(differentials))
 
 
+def rank_mod_p(M, p):
+    """Rank over F_p of an integer matrix, by sparse Gauss elimination."""
+    rows = [{j: v % p for j, v in r.items() if v % p} for r in M.rows]
+    rows = [r for r in rows if r]
+    rk = 0
+    while rows:
+        r = rows.pop()
+        j, v = next(iter(r.items()))
+        inv = pow(v, -1, p)
+        nxt = []
+        for s in rows:
+            c = s.get(j, 0) * inv % p
+            for k, w in r.items() if c else ():
+                x = (s.get(k, 0) - c * w) % p
+                if x:
+                    s[k] = x
+                else:
+                    s.pop(k, None)
+            if s:
+                nxt.append(s)
+        rows = nxt
+        rk += 1
+    return rk
+
+
+def z_complexes_with_torsion():
+    """(complex, degrees): cube complexes of Z gen_coker modules summed with
+    the doubling module, and total complexes of Z gen_complex complexes."""
+    out = []
+    for s in range(4):
+        V = gen_coker("uct:%d" % s, ring=ZZ, trunc=4).module
+        if V.ring == ZZ:  # not downgraded to Q
+            V = direct_sum(V, doubling_module(4))
+            for n in range(V.truncation + 1):
+                out.append((fih_chain_complex(V, n), range(-1, n + 2)))
+        W = gen_complex("uct:%d" % s, ring=ZZ, trunc=3)
+        for n in range(W.truncation + 1):
+            out.append((hyper_total_complex(W, n), range(W.q_min - 1, W.q_max + n + 2)))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_universal_coefficients_mod_p(p):
+    """dim H_k(C (x) F_p) = rank H_k + #p-torsion(H_k) + #p-torsion(H_{k-1})."""
+    seen = 0
+    for C, degs in z_complexes_with_torsion():
+        for k in degs:
+            lhs = (C.size(k) - rank_mod_p(C.boundary_out(k), p)
+                   - rank_mod_p(C.boundary_in(k), p))
+            h, below = C.homology(k), C.homology(k - 1)
+            tors = sum(1 for t in h.torsion + below.torsion if t % p == 0)
+            assert lhs == h.rank + tors, (p, k)
+            seen += tors
+    if p in (2, 3):
+        assert seen > 0
+
+
 # ---------------------------------------------------------------------------
 # degree profiles
 

@@ -28,7 +28,7 @@ from fihom import (
     snf,
     solve_matrix,
 )
-from fihom.linalg import _eliminate, _int_rows
+from fihom.linalg import SNFResult, _eliminate, _int_rows, _xgcd
 
 
 def zmat(rows):
@@ -276,6 +276,58 @@ def test_elementary_divisors_match_dense_snf(M):
     assert elementary_divisors(M) == [d for d in snf(M).divisors() if d]
 
 
+# (matrix, nonzero elementary divisors): empty, zero, 1x1 and rank-deficient
+# non-square shapes
+EDGE_SHAPES = [
+    (Matrix.zeros(ZZ, 0, 0), []),
+    (Matrix.zeros(ZZ, 0, 3), []),
+    (Matrix.zeros(ZZ, 3, 0), []),
+    (Matrix.zeros(ZZ, 2, 4), []),
+    (zmat([[6]]), [6]),
+    (zmat([[-1]]), [1]),
+    (zmat([[0]]), []),
+    (zmat([[2, 4, 6], [1, 2, 3]]), [1]),
+    (zmat([[2, 4], [4, 8], [6, 12]]), [2]),
+    (zmat([[2, 0, 4, 0], [0, 0, 0, 0], [4, 0, 14, 0]]), [2, 6]),
+    (zmat([[0, 0], [0, 3], [0, -6], [0, 0]]), [3]),
+    (zmat([[3, 6, 9, 12, 15], [1, 2, 3, 4, 5], [0, 0, 0, 0, 5]]), [1, 5]),
+]
+
+
+@pytest.mark.parametrize("M,divs", EDGE_SHAPES)
+def test_smith_form_on_edge_shapes(M, divs):
+    res = snf_contract(M)
+    assert res.S.shape == M.shape
+    assert res.U.shape == res.U_inv.shape == (M.nrows, M.nrows)
+    assert res.V.shape == res.V_inv.shape == (M.ncols, M.ncols)
+    assert [d for d in res.divisors() if d] == divs
+    assert elementary_divisors(M) == divs
+    assert len(divs) == rank(M)
+
+
+@pytest.mark.parametrize("M,divs", EDGE_SHAPES)
+def test_z_bases_and_solve_on_edge_shapes(M, divs):
+    r = len(divs)
+    basis = kernel_basis(M)
+    assert len(basis) == M.ncols - r
+    assert all(len(v) == M.ncols and not any(M.mul_vec(v)) for v in basis)
+    if basis:  # a lattice basis of a saturated sublattice
+        K = Matrix.from_rows(ZZ, [list(c) for c in zip(*basis)], ncols=len(basis))
+        assert elementary_divisors(K) == [1] * len(basis)
+    B = image_basis(M)
+    assert B.shape == (M.nrows, r)
+    assert solve_matrix(M, B) is not None  # im B inside im M
+    assert solve_matrix(B, M) is not None  # im M inside im B
+    X = Matrix.from_flat(ZZ, M.ncols, 2, [(3 * k) % 5 - 2 for k in range(2 * M.ncols)])
+    Y = solve_matrix(M, M @ X)
+    assert Y is not None and Y.shape == X.shape and M @ Y == M @ X
+    if r < M.nrows or any(d > 1 for d in divs):
+        # U^-1 e_t lies in im M exactly when t < r and d_t = 1
+        t = next((i for i, d in enumerate(divs) if d > 1), r)
+        c = snf(M).U_inv.column(t)
+        assert solve_matrix(M, Matrix.from_rows(ZZ, [[v] for v in c])) is None
+
+
 # ---------------------------------------------------------------------------
 # homology classes
 
@@ -393,6 +445,9 @@ def test_quotient_coords_round_trip():
 # row-scanning rank, the unit-peeling loop of elementary_divisors and the
 # Gauss branch of det over Q as they stood before `_eliminate` served
 # rank and elementary_divisors and det cleared denominators into Bareiss.
+# old_snf is the dense Smith form as it stood before the divisors were
+# taken modulo a maximal minor and the transforms were size-reduced;
+# old_elementary_divisors sends its residue through it.
 
 
 def old_rank(M):
@@ -481,6 +536,148 @@ def old_unit_peel(M):
     return ones, rows
 
 
+def old_snf(M):
+    """Smith form by dense 2x2 unimodular (xgcd) row and column steps.
+
+    Nothing bounds its entries: at 28x28 on entries in [-9, 9] the
+    transforms reach a million bits.  Kept only as an oracle.
+    """
+    if M.ring != ZZ:
+        raise ValueError("snf needs a Z matrix, got ring %s" % M.ring)
+    m, n = M.nrows, M.ncols
+    A = [[M.entry(i, j) for j in range(n)] for i in range(m)]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    Ui = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vi = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, k, q):  # R_i -= q R_k ; U follows, Uinv absorbs the inverse
+        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+        for t in range(m):
+            Ui[t][k] += q * Ui[t][i]
+
+    def row_swap(i, k):
+        A[i], A[k] = A[k], A[i]
+        U[i], U[k] = U[k], U[i]
+        for t in range(m):
+            Ui[t][i], Ui[t][k] = Ui[t][k], Ui[t][i]
+
+    def row_neg(i):
+        A[i] = [-a for a in A[i]]
+        U[i] = [-a for a in U[i]]
+        for t in range(m):
+            Ui[t][i] = -Ui[t][i]
+
+    def row_mix(i, k, x, y, z, w):
+        # (R_i, R_k) <- (x R_i + y R_k, z R_i + w R_k), det = xw - yz = 1
+        A[i], A[k] = ([x * a + y * b for a, b in zip(A[i], A[k])],
+                      [z * a + w * b for a, b in zip(A[i], A[k])])
+        U[i], U[k] = ([x * a + y * b for a, b in zip(U[i], U[k])],
+                      [z * a + w * b for a, b in zip(U[i], U[k])])
+        for t in range(m):  # Uinv <- Uinv @ T^-1, T^-1 = [[w, -y], [-z, x]]
+            ci, ck = Ui[t][i], Ui[t][k]
+            Ui[t][i] = w * ci - z * ck
+            Ui[t][k] = -y * ci + x * ck
+    def col_op(j, k, q):  # C_j -= q C_k
+        for t in range(m):
+            A[t][j] -= q * A[t][k]
+        for t in range(n):
+            V[t][j] -= q * V[t][k]
+        Vi[k] = [a + q * b for a, b in zip(Vi[k], Vi[j])]
+
+    def col_swap(j, k):
+        for t in range(m):
+            A[t][j], A[t][k] = A[t][k], A[t][j]
+        for t in range(n):
+            V[t][j], V[t][k] = V[t][k], V[t][j]
+        Vi[j], Vi[k] = Vi[k], Vi[j]
+
+    def col_mix(j, k, x, y, z, w):
+        # (C_j, C_k) <- (x C_j + y C_k, z C_j + w C_k), det = 1
+        for t in range(m):
+            cj, ck = A[t][j], A[t][k]
+            A[t][j] = x * cj + y * ck
+            A[t][k] = z * cj + w * ck
+        for t in range(n):
+            cj, ck = V[t][j], V[t][k]
+            V[t][j] = x * cj + y * ck
+            V[t][k] = z * cj + w * ck
+        Vi[j], Vi[k] = ([w * a - z * b for a, b in zip(Vi[j], Vi[k])],
+                        [-y * a + x * b for a, b in zip(Vi[j], Vi[k])])
+
+    t = 0
+    while t < m and t < n:
+        # bring a small nonzero entry to the pivot slot
+        piv = None
+        for i in range(t, m):
+            Ai = A[i]
+            for j in range(t, n):
+                a = Ai[j]
+                if a:
+                    a = -a if a < 0 else a
+                    if piv is None or a < piv[0]:
+                        piv = (a, i, j)
+                        if a == 1:
+                            break
+            if piv is not None and piv[0] == 1:
+                break
+        if piv is None:
+            break
+        _, pi, pj = piv
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        if A[t][t] < 0:
+            row_neg(t)
+        while True:
+            for i in range(t + 1, m):
+                b = A[i][t]
+                if b:
+                    a = A[t][t]
+                    if b % a == 0:
+                        row_op(i, t, b // a)
+                    else:
+                        g, x, y = _xgcd(a, b)
+                        row_mix(t, i, x, y, -(b // g), a // g)
+            for j in range(t + 1, n):
+                b = A[t][j]
+                if b:
+                    a = A[t][t]
+                    if b % a == 0:
+                        col_op(j, t, b // a)
+                    else:
+                        g, x, y = _xgcd(a, b)
+                        col_mix(t, j, x, y, -(b // g), a // g)
+            if all(A[i][t] == 0 for i in range(t + 1, m)):
+                break  # col mixes can re-dirty column t; each one shrinks the pivot
+        # divisibility: fold any non-multiple into row t and redo this pivot
+        d = A[t][t]
+        bad = None
+        for i in range(t + 1, m):
+            Ai = A[i]
+            for j in range(t + 1, n):
+                if Ai[j] % d:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            row_op(t, bad, -1)  # adds row `bad` to row t
+            continue
+        t += 1
+
+    S = Matrix.from_rows(ZZ, A, ncols=n) if m else Matrix.zeros(ZZ, 0, n)
+    return SNFResult(
+        S=S,
+        U=Matrix.from_rows(ZZ, U, ncols=m) if m else Matrix.zeros(ZZ, 0, 0),
+        V=Matrix.from_rows(ZZ, V, ncols=n) if n else Matrix.zeros(ZZ, 0, 0),
+        U_inv=Matrix.from_rows(ZZ, Ui, ncols=m) if m else Matrix.zeros(ZZ, 0, 0),
+        V_inv=Matrix.from_rows(ZZ, Vi, ncols=n) if n else Matrix.zeros(ZZ, 0, 0),
+    )
+
+
 def old_elementary_divisors(M):
     ones, rows = old_unit_peel(M)
     if not rows:
@@ -493,7 +690,7 @@ def old_elementary_divisors(M):
     for k, i in enumerate(live_rows):
         for j, v in rows[i].items():
             dense[k][cindex[j]] = v
-    res = snf(Matrix.from_rows(ZZ, dense, ncols=len(live_cols)))
+    res = old_snf(Matrix.from_rows(ZZ, dense, ncols=len(live_cols)))
     tail = [d for d in res.divisors() if d]
     return [1] * ones + tail
 
@@ -598,6 +795,13 @@ def test_elementary_divisors_match_old_on_cube_differentials():
         assert elementary_divisors(d) == old_elementary_divisors(d)
 
 
+def test_divisor_count_is_the_rank():
+    V = representable(3, 6, ZZ)
+    cube = [d for n in range(V.truncation + 1) for d in fih_chain_complex(V, n).d]
+    for M in SPARSE + cube:
+        assert len(elementary_divisors(M)) == rank(M)
+
+
 def test_elementary_divisors_match_old_on_sparse_matrices():
     for M in SPARSE:
         assert elementary_divisors(M) == old_elementary_divisors(M)
@@ -607,6 +811,141 @@ def test_unit_mode_residue_is_the_old_peel():
     for M in cube_differentials(ZZ) + SPARSE:
         got = _eliminate({i: dict(r) for i, r in enumerate(M.rows) if r}, True)
         assert got == old_unit_peel(M)
+
+
+# ---------------------------------------------------------------------------
+# the modular divisors and the reduced transforms against the dense Smith form
+
+
+def dense_or_planted(seed):
+    """Seeded integer matrix of 1..20 rows and columns.
+
+    Even seeds: dense entries in [-9, 9], every third one with a row that is
+    the sum of two others (rank-deficient).  Odd seeds: planted, A D B with
+    A, B unimodular and D a diagonal divisor chain of rank at most the
+    smaller side, so some are rank-deficient and most have torsion.
+    """
+    import random
+
+    rng = random.Random("smith-diff:%d" % seed)
+    nr, nc = rng.randint(1, 20), rng.randint(1, 20)
+    if seed % 2 == 0:
+        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+        if seed % 3 == 0 and nr >= 3:
+            rows[0] = [a + b for a, b in zip(rows[1], rows[2])]
+        return zmat(rows)
+
+    def unimodular(n):
+        lower = [[int(i == j) if j >= i else rng.choice((-1, 0, 0, 1))
+                  for j in range(n)] for i in range(n)]
+        upper = [[int(i == j) if j <= i else rng.choice((-1, 0, 0, 1))
+                  for j in range(n)] for i in range(n)]
+        return zmat(lower) @ zmat(upper)
+
+    rk = rng.randint(0, min(nr, nc))
+    chain, cur = [], 1
+    for _ in range(rk):
+        cur *= rng.choice((1, 1, 2, 3))
+        chain.append(cur)
+    return unimodular(nr) @ Matrix.diagonal(ZZ, nr, nc, chain) @ unimodular(nc)
+
+
+SMITH_DIFF = [dense_or_planted(seed) for seed in range(30)]
+
+
+def test_smith_differential_inputs_are_varied():
+    assert any(M.nrows != M.ncols for M in SMITH_DIFF)
+    assert any(rank(M) < min(M.shape) for M in SMITH_DIFF)
+    assert any(d > 1 for M in SMITH_DIFF for d in elementary_divisors(M))
+
+
+def test_smith_form_matches_old_snf():
+    for M in SMITH_DIFF:
+        new, old = snf_contract(M), old_snf(M)
+        assert new.S == old.S
+        assert old.U @ M @ old.V == old.S
+
+
+def test_elementary_divisors_match_old_on_dense_and_planted():
+    for M in SMITH_DIFF:
+        divs = elementary_divisors(M)
+        assert divs == old_elementary_divisors(M)
+        assert divs == [d for d in old_snf(M).divisors() if d]
+
+
+def test_divisors_modulo_a_minor_without_unit_pivots():
+    """Entries that share a factor with every minor: no pivot is a unit mod
+    D, so every divisor comes from the xgcd branch of `_divisors_mod`."""
+    import random
+
+    rng = random.Random("non-unit")
+    mats = [zmat([[2, 4], [6, 8]]), zmat([[2, 2], [2, 6]]), zmat([[6, 6, 6], [6, 6, 6]]),
+            zmat([[4, 0, 2], [0, 6, 0], [2, 0, 4]])]
+    for _ in range(20):
+        n, c = rng.randint(2, 6), rng.choice((2, 3, 6))
+        mats.append(zmat([[c * rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]))
+    for M in mats:
+        divs = elementary_divisors(M)
+        assert divs == old_elementary_divisors(M)
+        assert divs == [d for d in snf_contract(M).divisors() if d]
+        assert all(d > 1 for d in divs)
+
+
+@pytest.mark.parametrize("n,seed,budget", [(40, "dense40", 5.0), (60, "dense60", 5.0)])
+def test_large_dense_smith_form_within_budget(n, seed, budget):
+    """Dense n x n entries in [-9, 9]: the old dense routine did not finish
+    either size in a minute; these must finish in `budget` seconds, with
+    transform entries of at most four times the bits of |det|."""
+    import random
+    import time
+
+    rng = random.Random(seed)
+    M = zmat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    start = time.perf_counter()
+    res = snf(M)
+    divs = elementary_divisors(M)
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget
+    I = Matrix.identity(ZZ, n)
+    assert res.U @ M @ res.V == res.S
+    assert res.U @ res.U_inv == I and res.V @ res.V_inv == I
+    diag = res.divisors()
+    assert all(d > 0 for d in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert divs == diag
+    product = 1
+    for d in divs:
+        product *= d
+    assert product == abs(det(M)) != 0
+    # size reduction: transform entries stay within a few times |det|'s size
+    bits = max(abs(v).bit_length() for X in (res.U, res.V, res.U_inv, res.V_inv)
+               for r in X.rows for v in r.values())
+    assert bits <= 4 * product.bit_length()
+
+
+def laplace_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * v * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, v in enumerate(rows[0]) if v)
+
+
+def test_z_det_matches_laplace_expansion():
+    """Zero pivots force Bareiss to swap rows: sparse entries and every
+    permutation matrix of size 4, whose determinant is its sign."""
+    import itertools
+    import random
+
+    rng = random.Random("z-det")
+    mats = [[[int(p[i] == j) for j in range(4)] for i in range(4)]
+            for p in itertools.permutations(range(4))]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        mats.append([[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(n)] for _ in range(n)])
+    for rows in mats:
+        M = zmat(rows)
+        assert det(M) == laplace_det(rows)
+        assert det(M.to_ring(QQ)) == laplace_det(rows)
 
 
 def test_q_det_matches_gauss():
