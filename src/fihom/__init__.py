@@ -16,8 +16,8 @@ from .fimodule import (
     CokernelTorsionError, FBData, FIModule, FIMorphism, ShiftData,
     colim_compare, constant_module, direct_sum, face_matrices,
     fi_coker, free_basis_labels, free_fi_module, free_morphism,
-    induced_injection_matrix, permutation_matrix, regular_fbdata,
-    representable, representable_basis_injections, shift_module, truncate,
+    induced_injection_matrix, regular_fbdata, representable,
+    representable_basis_injections, shift_module, truncate,
     validate, validate_fbdata, validate_morphism, zero_module,
 )
 from .homology import (

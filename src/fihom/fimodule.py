@@ -4,9 +4,11 @@ A truncated FI-module V assigns to each level n <= N a free module of
 dimension dims[n], together with the standard inclusion iota[n] (the
 action of n_ -> n+1_, identity on elements) and the adjacent
 transpositions trans[n][i-1] (the action of s_i swapping elements i-1
-and i).  Every other injection is recovered by factoring it as a
-permutation composed with standard inclusions, so these generators plus
-their relations determine the functor on the whole of FI up to level N.
+and i).  Every other injection f is reached from a simpler one by one
+product: V(f) = iota @ V(f') when f misses the top element, else
+V(f) = V(s_i) @ V(s_i o f) for a swap that removes an inversion of f.
+So these generators plus their relations determine the functor on the
+whole of FI up to level N; `_Injections` evaluates it.
 
 Convention: the finite set n_ is {0, 1, ..., n-1}; subsets are ordered
 lexicographically on their sorted tuples within a fixed size.
@@ -123,6 +125,26 @@ class FIMorphism:
                 raise ValueError("level %d map has shape %s, expected %s" % (n, m.shape, want))
 
 
+def _coxeter_violations(mats, eye, where):
+    """Violated relations of s_1 .. s_{n-1} = mats: s_i^2 = 1, the braid
+    relation and far commutation, each message prefixed by `where`."""
+    bad = []
+    for i, s in enumerate(mats, 1):
+        if s @ s != eye:
+            bad.append("%s: s_%d^2 != id" % (where, i))
+    for i in range(1, len(mats)):
+        a, b = mats[i - 1], mats[i]
+        if a @ b @ a != b @ a @ b:
+            bad.append("%s: braid s_%d s_%d s_%d != s_%d s_%d s_%d"
+                       % (where, i, i + 1, i, i + 1, i, i + 1))
+    for i in range(1, len(mats)):
+        for j in range(i + 2, len(mats) + 1):
+            a, b = mats[i - 1], mats[j - 1]
+            if a @ b != b @ a:
+                bad.append("%s: s_%d s_%d != s_%d s_%d" % (where, i, j, j, i))
+    return bad
+
+
 def validate(V: FIModule):
     """List of violated FI-module relations (empty iff V is valid).
 
@@ -134,21 +156,8 @@ def validate(V: FIModule):
     bad = []
     N = V.truncation
     for n in range(2, N + 1):
-        eye = Matrix.identity(V.ring, V.dims[n])
-        for i in range(1, n):
-            s = V.transposition(n, i)
-            if s @ s != eye:
-                bad.append("level %d: s_%d^2 != id" % (n, i))
-        for i in range(1, n - 1):
-            a, b = V.transposition(n, i), V.transposition(n, i + 1)
-            if a @ b @ a != b @ a @ b:
-                bad.append("level %d: braid s_%d s_%d s_%d != s_%d s_%d s_%d"
-                           % (n, i, i + 1, i, i + 1, i, i + 1))
-        for i in range(1, n - 1):
-            for j in range(i + 2, n):
-                a, b = V.transposition(n, i), V.transposition(n, j)
-                if a @ b != b @ a:
-                    bad.append("level %d: s_%d s_%d != s_%d s_%d" % (n, i, j, j, i))
+        bad += _coxeter_violations(V.trans[n], Matrix.identity(V.ring, V.dims[n]),
+                                   "level %d" % n)
     for n in range(0, N):
         # permutations of n_ commute past the inclusion into n+1_
         for i in range(1, n):
@@ -169,22 +178,13 @@ def validate_fbdata(X: FBData):
     if X.trans is None:
         return bad
     for k in range(2, X.truncation + 1):
-        eye = Matrix.identity(X.ring, X.dims[k])
-        for i in range(1, k):
-            s = X.transposition(k, i)
-            if s.shape != (X.dims[k], X.dims[k]):
-                bad.append("cardinality %d: s_%d has wrong shape" % (k, i))
-                continue
-            if s @ s != eye:
-                bad.append("cardinality %d: s_%d^2 != id" % (k, i))
-        for i in range(1, k - 1):
-            a, b = X.transposition(k, i), X.transposition(k, i + 1)
-            if a @ b @ a != b @ a @ b:
-                bad.append("cardinality %d: braid fails at s_%d" % (k, i))
-            for j in range(i + 2, k):
-                a, b = X.transposition(k, i), X.transposition(k, j)
-                if a @ b != b @ a:
-                    bad.append("cardinality %d: s_%d s_%d != s_%d s_%d" % (k, i, j, j, i))
+        mats = [X.transposition(k, i) for i in range(1, k)]
+        shaped = [s.shape == (X.dims[k], X.dims[k]) for s in mats]
+        bad += ["cardinality %d: s_%d has wrong shape" % (k, i)
+                for i, ok in enumerate(shaped, 1) if not ok]
+        if all(shaped):
+            bad += _coxeter_violations(mats, Matrix.identity(X.ring, X.dims[k]),
+                                       "cardinality %d" % k)
     return bad
 
 
@@ -205,42 +205,56 @@ def validate_morphism(f: FIMorphism):
 # induced injection matrices
 
 
-def _perm_word(perm):
-    """Write a permutation of n_ as a product of adjacent transpositions.
+class _Injections:
+    """V(f) for injections f: a_ -> b_, memoized for the life of the object.
 
-    Bubble sort the values: each swap right-multiplies by a position
-    transposition, so perm = s_{w_m} o ... o s_{w_1} where w_1..w_m is
-    the returned list in order (s_i swaps the elements i-1 and i).
+    Called as ev(f, b) with f the tuple of values.  Each V(f) is one
+    product with the V of a simpler injection:
+      - b-1 is not a value of f: V(f) = iota[b-1] @ V(f as a map into b-1_);
+      - some value v sits after v+1 (a value f misses sits after every
+        position): V(f) = V(s_{v+1}) @ V(s_{v+1} o f), and swapping the
+        values v and v+1 removes that inversion;
+      - otherwise f is the identity.
+    The largest such v is taken.  Products with an identity are skipped.
     """
-    p = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(p) - 1):
-            if p[i] > p[i + 1]:
-                p[i], p[i + 1] = p[i + 1], p[i]
-                word.append(i + 1)
-                changed = True
-    return word
+
+    def __init__(self, V):
+        self.V = V
+        self._memo = {}
+
+    def __call__(self, f, b):
+        key = (f, b)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self._build(f, b)
+        return out
+
+    def _build(self, f, b):
+        V = self.V
+        if f == tuple(range(b)):
+            return Matrix.identity(V.ring, V.dims[b])
+        if b - 1 not in f:
+            return self._times(V.iota[b - 1], f, b - 1)
+        pos = {x: i for i, x in enumerate(f)}
+        v = max(x for x in range(b - 1) if pos.get(x + 1, b) < pos.get(x, b))
+        g = tuple(v + 1 if x == v else v if x == v + 1 else x for x in f)
+        return self._times(V.transposition(b, v + 1), g, b)
+
+    def _times(self, m, g, c):
+        """m @ V(g) for g into c_, without a product when g is the identity."""
+        return m if g == tuple(range(c)) else m @ self(g, c)
 
 
-def permutation_matrix(V, n, perm):
-    """Matrix of a permutation of n_ on V(n_), via a transposition word."""
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation of %d_" % n)
-    out = Matrix.identity(V.ring, V.dims[n])
-    for i in _perm_word(perm):
-        out = V.transposition(n, i) @ out
-    return out
+def _face(k, pos):
+    """delta_pos: k_ -> k+1_, the order-preserving injection that skips pos."""
+    return tuple(range(pos)) + tuple(range(pos + 1, k + 1))
 
 
 def induced_injection_matrix(V, f, a=None, b=None):
     """Matrix of V(f) for an injection f: a_ -> b_ given by its tuple of values.
 
-    Factors f = sigma o iota^{b-a} with sigma a permutation of b_ that is
-    order preserving on the complement of the image (any completion gives
-    the same matrix once the relations hold; this one is canonical).
+    Built by `_Injections`: one product per inversion removed and per
+    level descended, each through a simpler injection.
     """
     f = tuple(f)
     if a is None:
@@ -253,29 +267,19 @@ def induced_injection_matrix(V, f, a=None, b=None):
         raise ValueError("values of %r outside %d_" % (f, b))
     if b > V.truncation:
         raise ValueError("target level %d exceeds truncation %d" % (b, V.truncation))
-    rest = sorted(set(range(b)) - set(f))
-    sigma = list(f) + rest
-    out = Matrix.identity(V.ring, V.dims[a])
-    for k in range(a, b):
-        out = V.iota[k] @ out
-    if sigma != list(range(b)):
-        out = permutation_matrix(V, b, sigma) @ out
-    return out
+    return _Injections(V)(f, b)
 
 
 def face_matrices(V, k):
     """[V(delta_0), ..., V(delta_k)] where delta_pos: k_ -> k+1_ skips pos.
 
-    delta_pos = s_{pos+1} ... s_k o iota, so the list is built in one
-    sweep from the top face delta_k = iota.
+    delta_pos = s_{pos+1} o delta_{pos+1}, so one evaluator builds the
+    list with one product per face below the top face delta_k = iota.
     """
     if k + 1 > V.truncation:
         raise ValueError("faces at level %d exceed truncation" % (k + 1))
-    faces = [None] * (k + 1)
-    faces[k] = V.iota[k]
-    for pos in range(k - 1, -1, -1):
-        faces[pos] = V.transposition(k + 1, pos + 1) @ faces[pos + 1]
-    return faces
+    ev = _Injections(V)
+    return [ev(_face(k, pos), k + 1) for pos in range(k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +486,8 @@ def shift_module(V: FIModule) -> ShiftData:
     trans = tuple(tuple(V.trans[n + 1][1:]) for n in range(N))
     SV = FIModule(V.ring, N - 1, dims, iotas, trans,
                   name=("S " + V.name if V.name else ""))
-    nat_levels = tuple(face_matrices(V, n)[0] for n in range(N))
+    ev = _Injections(V)
+    nat_levels = tuple(ev(_face(n, 0), n + 1) for n in range(N))
     nat = FIMorphism(truncate(V, N - 1), SV, nat_levels)
     return ShiftData(SV, nat)
 
@@ -553,6 +558,7 @@ def free_morphism(sources, target: FIModule, images) -> FIMorphism:
     N = target.truncation
     src = direct_sum(*[representable(m, N, ring) for m in sources]) \
         if sources else zero_module(N, ring)
+    ev = _Injections(target)
     levels = []
     for n in range(N + 1):
         cols = []
@@ -560,8 +566,7 @@ def free_morphism(sources, target: FIModule, images) -> FIMorphism:
             if len(vec) != target.dims[m]:
                 raise ValueError("generator image has wrong dimension")
             for f in representable_basis_injections(m, n):
-                mat = induced_injection_matrix(target, f, a=m, b=n)
-                cols.append(mat.mul_vec(vec))
+                cols.append(ev(f, n).mul_vec(vec))
         rows = [{} for _ in range(target.dims[n])]
         for c, col in enumerate(cols):
             for i, v in enumerate(col):
@@ -592,7 +597,7 @@ def _poset_presentation(V, n, K):
         offset[S] = off
         off += V.dims[len(S)]
     total = off
-    faces = {k: face_matrices(V, k) for k in range(K) if k + 1 <= V.truncation}
+    ev = _Injections(V)
     pairs = []
     for S in subsets:
         k = len(S)
@@ -607,13 +612,13 @@ def _poset_presentation(V, n, K):
     coff = 0
     for S, T, pos in pairs:
         k = len(S)
-        _add_block(rows, offset[T], coff, faces[k][pos])
+        _add_block(rows, offset[T], coff, ev(_face(k, pos), k + 1))
         _add_block(rows, offset[S], coff, Matrix.identity(ring, V.dims[k]), -1)
         coff += V.dims[k]
     P = Matrix(ring, total, coff, rows)
     crows = [{} for _ in range(V.dims[n])]
     for S in subsets:
-        _add_block(crows, 0, offset[S], induced_injection_matrix(V, S, a=len(S), b=n))
+        _add_block(crows, 0, offset[S], ev(S, n))
     c = Matrix(ring, V.dims[n], total, crows)
     return P, c
 

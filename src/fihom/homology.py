@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .fimodule import (
-    FBData, FIModule, FIMorphism, face_matrices, fi_coker, free_fi_module,
-    induced_injection_matrix, shift_module,
+    FBData, FIModule, FIMorphism, _Injections, face_matrices, fi_coker,
+    free_fi_module, representable_basis_injections, shift_module,
 )
 from .linalg import (
     AbelianClass, Matrix, QQ, _abelian_class, _add_block,
@@ -254,19 +254,12 @@ def hmax_estimate(V: FIModule) -> Estimate:
     N = V.truncation
     if N < 1:
         raise ValueError("torsion test needs truncation >= 1")
+    ev = _Injections(V)
     best = -1
     for n in range(N):
-        comp = Matrix.identity(V.ring, V.dims[n])
-        for k in range(n, N):
-            comp = V.iota[k] @ comp
-        if rank(comp) < V.dims[n]:
+        if rank(ev(tuple(range(n)), N)) < V.dims[n]:
             best = n
     return Estimate(best, certain=False, note="kernel of inclusion into top level")
-
-
-def _natural_morphism(V):
-    sd = shift_module(V)
-    return sd.natural
 
 
 def delta_estimate(V: FIModule) -> Estimate:
@@ -291,7 +284,7 @@ def delta_estimate(V: FIModule) -> Estimate:
         if W.truncation == 0:
             return Estimate(j, certain=False,
                             note="no stabilization within truncation")
-        W = fi_coker(_natural_morphism(W))
+        W = fi_coker(shift_module(W).natural)
         j += 1
 
 
@@ -307,6 +300,7 @@ def _generated_submodule(V, k):
     k_ -> n_ alone generate.
     """
     ring = V.ring
+    ev = _Injections(V)
     bases = []
     for n in range(V.truncation + 1):
         if n <= k:
@@ -314,12 +308,9 @@ def _generated_submodule(V, k):
             continue
         stacked_rows = [{} for _ in range(V.dims[n])]
         off = 0
-        for S in itertools.combinations(range(n), k):
-            for g in itertools.permutations(range(k)):
-                f = tuple(S[g[x]] for x in range(k))
-                _add_block(stacked_rows, 0, off,
-                           induced_injection_matrix(V, f, a=k, b=n))
-                off += V.dims[k]
+        for f in representable_basis_injections(k, n):
+            _add_block(stacked_rows, 0, off, ev(f, n))
+            off += V.dims[k]
         stacked = Matrix(ring, V.dims[n], off, stacked_rows)
         bases.append(image_basis(stacked))
     return bases

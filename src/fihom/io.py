@@ -32,17 +32,13 @@ class ValidationError(ValueError):
         self.violations = tuple(violations)
 
 
-def _fmt_entry(v):
-    return str(v)
-
-
 def _matrix_lines(M):
     if M.ncols == 0:
         return []  # no entries: rows are implied by the dims header
     out = []
     for i in range(M.nrows):
         row = M.rows[i]
-        out.append(" ".join(_fmt_entry(row.get(j, 0)) for j in range(M.ncols)))
+        out.append(" ".join(str(row.get(j, 0)) for j in range(M.ncols)))
     return out
 
 

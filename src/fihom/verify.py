@@ -73,10 +73,12 @@ class _Run:
         self.failures = []
         self.stats = {}
 
-    def check(self, ok, label, artifact=""):
+    def check(self, ok, label, instance=None):
+        """Count a check; a failure keeps its label and serialized instance."""
         self.checks += 1
         if not ok:
-            self.failures.append((label, artifact))
+            self.failures.append(
+                (label, "" if instance is None else serialize(instance)))
         return ok
 
     def stat_max(self, key, value):
@@ -121,24 +123,23 @@ def suite_homology(trials=40, seed=0):
             V, X = gen_free(sub, ring=ring, trunc=4)
         else:
             V = gen_coker(sub, ring=ring, trunc=4).module
-        art = serialize(V)
         for n in range(V.truncation + 1):
             try:
                 cx = fih_chain_complex(V, n)
             except ArithmeticError as e:
-                run.check(False, "d^2 != 0 (%s)" % e, art)
+                run.check(False, "d^2 != 0 (%s)" % e, V)
                 continue
             run.check(True, "")
             euler_sizes = sum((-1) ** p * cx.size(p) for p in range(n + 1))
             hs = [cx.homology(p) for p in range(n + 1)]
             euler_ranks = sum((-1) ** p * h.rank for p, h in enumerate(hs))
             run.check(euler_sizes == euler_ranks,
-                      "euler characteristic mismatch at level %d" % n, art)
+                      "euler characteristic mismatch at level %d" % n, V)
             if free:
                 run.check(hs[0] == AbelianClass(X.dims[n]),
-                          "H_0 of a free module is not X at level %d" % n, art)
+                          "H_0 of a free module is not X at level %d" % n, V)
                 run.check(all(h.is_zero() for h in hs[1:]),
-                          "higher homology of a free module at level %d" % n, art)
+                          "higher homology of a free module at level %d" % n, V)
             run.stat_add("groups", len(hs))
     return run.report("homology", seed, trials)
 
@@ -149,17 +150,16 @@ def suite_colim(trials=30, seed=0):
     for i in range(trials):
         ring = ZZ if i % 2 == 0 else QQ
         V = gen_coker("%d:%d" % (seed, i), ring=ring, trunc=4).module
-        art = serialize(V)
         prof = degrees(V, 1)
         n0 = max(prof.bound_value(0), prof.bound_value(1), 0)
         run.stat_max("largest_cutoff", n0)
         for n in range(V.truncation + 1):
             _, iso = colim_compare(V, n, n0)
-            run.check(iso, "not recovered at level %d, cutoff %d" % (n, n0), art)
+            run.check(iso, "not recovered at level %d, cutoff %d" % (n, n0), V)
         if n0 >= 1:
             misses = [n for n in range(n0, V.truncation + 1)
                       if not colim_compare(V, n, n0 - 1)[1]]
-            run.check(bool(misses), "cutoff %d - 1 already recovers" % n0, art)
+            run.check(bool(misses), "cutoff %d - 1 already recovers" % n0, V)
     return run.report("colim", seed, trials)
 
 
@@ -168,20 +168,19 @@ def suite_shift(trials=12, seed=0):
     run = _Run()
     for i in range(trials):
         V = _mixed_module(i, seed, trunc=4)
-        art = serialize(V)
         sd = shift_module(V)
-        run.check(not validate(sd.module), "shift is not an FI-module", art)
+        run.check(not validate(sd.module), "shift is not an FI-module", V)
         run.check(not validate_morphism(sd.natural),
-                  "natural map is not a morphism", art)
+                  "natural map is not a morphism", V)
         for n in range(1, min(3, V.truncation - 1) + 1):
             run.check(shift_cone_check(V, n),
-                      "cube at %d is not the cone at %d" % (n + 1, n), art)
+                      "cube at %d is not the cone at %d" % (n + 1, n), V)
         if V.ring == QQ:
             n = min(3, V.truncation - 1)
             for a in range(n + 2):
                 run.check(shift_three_term_exactness(V, n, a),
                           "three-term sequence not exact at H_%d, level %d" % (a, n),
-                          art)
+                          V)
     return run.report("shift", seed, trials)
 
 
@@ -190,7 +189,6 @@ def suite_ganli(trials=15, seed=0):
     run = _Run()
     for i in range(trials):
         W = gen_complex("%d:%d" % (seed, i), ring=QQ, trunc=4)
-        art = serialize(W)
         hyper = hyper_degrees(W, (0, W.q_max + 1))
         for k in range(W.q_min, W.q_max + 1):
             tk = hyper.bound_value(k)
@@ -199,9 +197,9 @@ def suite_ganli(trials=15, seed=0):
             b0 = 2 * tk + 1
             b1 = 2 * max(tk, tk1) + 2
             ok0 = run.check(prof.bound_value(0) <= b0,
-                            "t0(H_%d) = %s exceeds %d" % (k, prof.value(0), b0), art)
+                            "t0(H_%d) = %s exceeds %d" % (k, prof.value(0), b0), W)
             ok1 = run.check(prof.bound_value(1) <= b1,
-                            "t1(H_%d) = %s exceeds %d" % (k, prof.value(1), b1), art)
+                            "t1(H_%d) = %s exceeds %d" % (k, prof.value(1), b1), W)
             if ok0 and prof.value(0) is not None:
                 run.stat_min("worst_t0_slack", b0 - prof.value(0))
             if ok1 and prof.value(1) is not None:
@@ -216,33 +214,31 @@ def suite_degrees(trials=30, seed=0):
         sub = "%d:%d" % (seed, i)
         if i % 3 == 2:  # free over Q: exact stable degree, no dying elements
             V, X = gen_free(sub, ring=QQ, trunc=5)
-            art = serialize(V)
             d = delta_estimate(V)
             h = hmax_estimate(V)
             run.check(d.value == X.degree() and d.certain,
-                      "stable degree of a free module misread", art)
-            run.check(h.value == -1, "free module shows dying elements", art)
+                      "stable degree of a free module misread", V)
+            run.check(h.value == -1, "free module shows dying elements", V)
             continue
         ring = QQ if i % 2 == 0 else ZZ
         inst = gen_coker(sub, ring=ring, trunc=5)
         V = inst.module
-        art = serialize(V)
         prof = degrees(V, 1)
         t0 = prof.bound_value(0)
         t1 = prof.bound_value(1)
         run.check(t0 <= inst.target_data.degree(),
-                  "t0 exceeds the generator degree", art)
+                  "t0 exceeds the generator degree", V)
         run.check(t1 <= max(inst.source_cards, default=-1),
-                  "t1 exceeds the relation degree", art)
+                  "t1 exceeds the relation degree", V)
         h = hmax_estimate(V)
         if t0 == -1:
-            run.check(h.value == -1, "zero module shows dying elements", art)
+            run.check(h.value == -1, "zero module shows dying elements", V)
         else:
             run.check(h.value <= t0 + max(t0, t1) - 1,
-                      "h exceeds t0 + max(t0, t1) - 1", art)
+                      "h exceeds t0 + max(t0, t1) - 1", V)
         if V.ring == QQ:
             d = delta_estimate(V)
-            run.check(d.value <= t0, "stable degree exceeds t0", art)
+            run.check(d.value <= t0, "stable degree exceeds t0", V)
             # the window estimators can miss saturation defects (h) and
             # generation transients (delta), so feed the piecewise bounds
             # the presentation-propagated invariants instead: those dominate
@@ -252,7 +248,7 @@ def suite_degrees(trials=30, seed=0):
                                    (inst.target_data.degree(), -1)])
             rep = bahran_bounds(dV, hV)
             run.check(t0 <= rep.t0_bound and t1 <= rep.t1_bound,
-                      "computed degrees break the piecewise bound", art)
+                      "computed degrees break the piecewise bound", V)
             run.stat_max("largest_delta", d.value)
         run.stat_max("largest_h", h.value)
     return run.report("degrees", seed, trials)

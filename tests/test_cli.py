@@ -422,3 +422,20 @@ def test_hyper_on_the_bench_complexes_matches_the_golden_output(capsys, monkeypa
             assert code == EXIT_OK
             out.append(text)
     assert "".join(out).encode() == HYPER_GOLDEN.read_bytes()
+
+
+GEN_GOLDEN = Path(__file__).parent / "data" / "gen-golden.txt"
+
+
+def test_gen_matches_the_golden_output(capsys):
+    """`fihom gen --kind K --ring R --seed S` for K in free, coker, complex,
+    R in Z, Q and S in 0..2, in that nesting order, concatenated."""
+    out = []
+    for kind in ("free", "coker", "complex"):
+        for ring in ("Z", "Q"):
+            for seed in range(3):
+                code, text, _ = run(capsys, ["gen", "--kind", kind, "--ring", ring,
+                                             "--seed", str(seed)])
+                assert code == EXIT_OK
+                out.append(text)
+    assert "".join(out).encode() == GEN_GOLDEN.read_bytes()

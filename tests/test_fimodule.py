@@ -146,6 +146,106 @@ def test_injection_functoriality():
 
 
 # ---------------------------------------------------------------------------
+# induced injections against the product chains they replaced
+#
+# old_induced_injection_matrix is V(f) as it stood before one memoized
+# evaluator built every structure map: f = sigma o iota^{b-a}, one iota
+# product per level, then sigma as one transposition product per letter
+# of its bubble-sort word.
+
+
+def old_perm_word(perm):
+    p = list(perm)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(p) - 1):
+            if p[i] > p[i + 1]:
+                p[i], p[i + 1] = p[i + 1], p[i]
+                word.append(i + 1)
+                changed = True
+    return word
+
+
+def old_permutation_matrix(V, n, perm):
+    out = Matrix.identity(V.ring, V.dims[n])
+    for i in old_perm_word(perm):
+        out = V.transposition(n, i) @ out
+    return out
+
+
+def old_induced_injection_matrix(V, f, a, b):
+    sigma = list(f) + sorted(set(range(b)) - set(f))
+    out = Matrix.identity(V.ring, V.dims[a])
+    for k in range(a, b):
+        out = V.iota[k] @ out
+    if sigma != list(range(b)):
+        out = old_permutation_matrix(V, b, sigma) @ out
+    return out
+
+
+def injection_test_modules():
+    from fihom.generate import gen_coker
+
+    rng = random.Random("injections:0")
+    mods = []
+    for ring in (ZZ, QQ):
+        mods.append(representable(2, 5, ring))
+        mods.append(free_fi_module(random_fbdata(rng, ring, 5)))
+        for seed in range(1, 4):
+            mods.append(gen_coker("injections:%d" % seed, ring=ring, trunc=5).module)
+    return mods
+
+
+def test_induced_injection_matrix_matches_old_products():
+    rng = random.Random("injections:1")
+    mods = injection_test_modules()
+    # the cokernels' structure maps are not permutation-like
+    assert any(not all(len(r) <= 1 for m in V.iota for r in m.rows) for V in mods)
+    for V in mods:
+        N = V.truncation
+        cases = [(a, b) for b in range(N + 1) for a in (0, b)]
+        cases += [(rng.randint(0, b), b) for b in [rng.randint(0, N) for _ in range(25)]]
+        for a, b in cases:
+            f = random_injection(rng, a, b)
+            assert induced_injection_matrix(V, f, a=a, b=b) \
+                == old_induced_injection_matrix(V, f, a, b), (V, f, b)
+
+
+def test_every_permutation_matches_old_permutation_matrix():
+    from itertools import permutations
+
+    for V in injection_test_modules()[:3]:
+        for perm in permutations(range(4)):
+            assert induced_injection_matrix(V, perm, a=4, b=4) \
+                == old_permutation_matrix(V, 4, perm)
+
+
+def test_free_morphism_makes_one_product_per_injection(monkeypatch):
+    """At most one product per distinct (injection 2_ -> b_, level b)."""
+    from fihom import linalg
+
+    target = representable(2, 5, ZZ)
+    calls = []
+    product = linalg.Matrix.__matmul__
+
+    def counted(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(linalg.Matrix, "__matmul__", counted)
+    f = free_morphism([2], target, [[1, -2]])
+    bound = sum(len(representable_basis_injections(2, b)) for b in range(6))
+    assert len(calls) <= bound == 40
+    monkeypatch.setattr(linalg.Matrix, "__matmul__", product)
+    for n in range(6):
+        cols = [old_induced_injection_matrix(target, g, 2, n).mul_vec([1, -2])
+                for g in representable_basis_injections(2, n)]
+        assert f.levels[n].to_rows() == [list(r) for r in zip(*cols)]
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -157,6 +257,32 @@ def test_validate_reports_negated_transposition():
                             tuple(tuple(t) for t in trans)))
     assert bad
     assert any("s_1" in msg for msg in bad)
+
+
+def test_validate_messages_name_each_broken_relation():
+    V = representable(1, 4, ZZ)
+    s1, s2, _ = V.trans[4]
+    trans = list(V.trans)
+    trans[3] = (V.trans[3][1].scale(2), V.trans[3][1])
+    trans[4] = (s1.scale(-1), s1, s2)
+    bad = validate(FIModule(ZZ, 4, V.dims, V.iota, tuple(trans)))
+    # `fihom validate` prints these through ValidationError: keep them as they are
+    assert bad == [
+        "level 3: s_1^2 != id",
+        "level 3: braid s_1 s_2 s_1 != s_2 s_1 s_2",
+        "level 4: braid s_1 s_2 s_1 != s_2 s_1 s_2",
+        "level 4: s_1 s_3 != s_3 s_1",
+        "levels 2->3: s_1 iota != iota s_1",
+        "levels 3->4: s_1 iota != iota s_1",
+        "levels 3->4: s_2 iota != iota s_2",
+        "levels 2->4: s_3 iota iota != iota iota",
+    ]
+
+
+def test_validate_fbdata_reports_a_wrong_shape():
+    eye2, eye3 = Matrix.identity(ZZ, 2), Matrix.identity(ZZ, 3)
+    X = FBData(ZZ, 3, (1, 1, 2, 2), ((), (), (eye2,), (eye2, eye3)))
+    assert validate_fbdata(X) == ["cardinality 3: s_2 has wrong shape"]
 
 
 def test_zero_iota_is_valid_module_data():

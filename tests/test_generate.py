@@ -94,3 +94,17 @@ def test_report_render_stats_in_order():
 def test_unknown_suite_raises():
     with pytest.raises(ValueError, match="choose from"):
         run_suite("nonsense")
+
+
+def test_failed_check_carries_the_serialized_instance(monkeypatch):
+    """A failing check records the instance it was run on, serialized."""
+    import fihom.verify as verify
+    from fihom import serialize
+    from fihom.homology import Estimate
+
+    monkeypatch.setattr(verify, "hmax_estimate", lambda V: Estimate(99, False))
+    rep = verify.suite_degrees(trials=3, seed=0)
+    arts = dict(rep.failures)
+    V, _ = gen_free("0:2", ring=QQ, trunc=5)
+    assert arts["free module shows dying elements"] == serialize(V)
+    assert all(art.startswith("fimodule\n") for art in arts.values())
