@@ -21,7 +21,7 @@ from .complexes import FIComplex, hyper_total_complex
 from .fimodule import FIModule
 from .generate import generate
 from .homology import degrees, fih_group
-from .io import ParseError, ValidationError, parse
+from .io import parse
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -61,9 +61,7 @@ def _load(path, want=None):
             obj = parse(fh)
     except OSError as e:
         raise _FileProblem(str(e))
-    except (ParseError, ValidationError) as e:
-        raise _FileProblem("%s: %s" % (path, e))
-    except (ValueError, ArithmeticError) as e:
+    except (ValueError, ArithmeticError) as e:  # ParseError and ValidationError too
         raise _FileProblem("%s: %s" % (path, e))
     if want is not None and not isinstance(obj, want):
         raise _FileProblem("%s: expected a %s file" % (path, want.__name__.lower()))

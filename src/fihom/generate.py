@@ -126,10 +126,8 @@ def gen_free(seed, ring=ZZ, trunc=4, dims=None):
     return free_fi_module(X, name="free"), X
 
 
-def _free_source(rng, ring, trunc, max_card, max_gens):
-    cards = [rng.randint(0, max_card) for _ in range(rng.randint(1, max_gens))]
-    cards.sort()
-    return cards
+def _free_source(rng, max_card, max_gens):
+    return sorted(rng.randint(0, max_card) for _ in range(rng.randint(1, max_gens)))
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def gen_coker(seed, ring=QQ, trunc=5, max_card=2, max_gens=3, retries=4) -> Coke
         rng = random.Random("coker:%s:%d" % (seed, attempt))
         X = random_fbdata(rng, attempt_ring, trunc, top=min(max_card, trunc))
         target = free_fi_module(X, name="target")
-        cards = _free_source(rng, attempt_ring, trunc, max_card, max_gens)
+        cards = _free_source(rng, max_card, max_gens)
         images = []
         for m in cards:
             images.append([_entry(rng, attempt_ring) for _ in range(target.dims[m])])
@@ -173,7 +171,6 @@ def gen_coker(seed, ring=QQ, trunc=5, max_card=2, max_gens=3, retries=4) -> Coke
         except CokernelTorsionError:
             if attempt == retries - 1 and ring == ZZ:
                 attempt_ring = QQ  # last resort: same draw shape over Q
-                continue
             continue
         return CokerInstance(C, f, tuple(cards), X, attempt_ring,
                              downgraded=(attempt_ring != ring))
@@ -191,7 +188,7 @@ def gen_complex(seed, ring=QQ, trunc=4, terms=3, max_card=2, max_gens=2) -> FICo
     if terms < 1:
         raise ValueError("need at least one term")
     rng = random.Random("complex:%s" % seed)
-    cards = [_free_source(rng, ring, trunc, max_card, max_gens)
+    cards = [_free_source(rng, max_card, max_gens)
              for _ in range(terms)]
     mods = [direct_sum(*[representable(m, trunc, ring) for m in cards[0]])]
     diffs = []

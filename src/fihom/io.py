@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .complexes import FIComplex, validate_complex
 from .fimodule import FIModule, FIMorphism, validate
-from .linalg import Matrix, QQ, RINGS, ZZ
+from .linalg import Matrix, RINGS, ZZ
 
 
 class ParseError(ValueError):
@@ -117,26 +117,27 @@ class _Cursor:
         return self.pos + 1
 
 
-def _parse_entry(tok, ring, cur):
-    try:
-        if ring == ZZ:
-            return int(tok)
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(cur.line_no - 1, "bad %s entry %r" % (ring, tok))
-
-
 def _read_matrix(cur, ring, nrows, ncols, what):
+    """nrows lines of ncols entries, each converted once into sparse rows."""
     if ncols == 0:
         return Matrix.zeros(ring, nrows, 0)
+    conv = int if ring == ZZ else Fraction
     rows = []
     for _ in range(nrows):
         toks = cur.next().split()
         if len(toks) != ncols:
             raise ParseError(cur.line_no - 1,
                              "%s: expected %d entries, got %d" % (what, ncols, len(toks)))
-        rows.append([_parse_entry(t, ring, cur) for t in toks])
-    return Matrix.from_rows(ring, rows, ncols=ncols)
+        row = {}
+        for j, tok in enumerate(toks):
+            try:
+                x = conv(tok)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(cur.line_no - 1, "bad %s entry %r" % (ring, tok))
+            if x:
+                row[j] = x
+        rows.append(row)
+    return Matrix(ring, nrows, ncols, rows)
 
 
 def _expect(cur, prefix):

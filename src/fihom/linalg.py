@@ -608,23 +608,18 @@ def _is_diagonal(A):
     return all(not v or i == j for i, r in enumerate(A) for j, v in enumerate(r))
 
 
-def snf(M):
-    """Smith normal form of an integer matrix, with transforms.
+def _smith(A, n, U, Ui_t, V_t, Vi):
+    """Smith form of the dense rows A with n columns: (S rows, U, V^T).
 
-    Row and column Hermite reductions alternate until the matrix is
-    diagonal, after Kannan and Bachem (SIAM J. Comput. 8, 1979); then 2x2
-    gcd/lcm steps fix the divisibility chain.  Each Hermite pass reduces
-    the entries above every pivot modulo the pivot, which keeps the
-    entries of U, V and their inverses small (a few hundred bits at 40x40
-    on entries in [-9, 9]).  The transforms follow every step in place.
+    Row and column Hermite passes alternate until A is diagonal, after
+    Kannan and Bachem (SIAM J. Comput. 8, 1979); then 2x2 gcd/lcm steps
+    fix the divisibility chain.  The transforms come in as rows and follow
+    every step: U and Ui_t = (U^-1)^T one row per row of A, V_t = V^T and
+    Vi = V^-1 one per column; Ui_t and Vi change in place.  No step on A
+    reads them, and a row op or swap on empty rows does nothing, so empty
+    rows carry no transform and leave A's steps as they are.
     """
-    if M.ring != ZZ:
-        raise ValueError("snf needs a Z matrix, got ring %s" % M.ring)
-    m, n = M.nrows, M.ncols
-    A = M.to_rows()
-    I_m, I_n = Matrix.identity(ZZ, m), Matrix.identity(ZZ, n)
-    U, Ui_t = I_m.to_rows(), I_m.to_rows()  # U, (U^-1)^T
-    V_t, Vi = I_n.to_rows(), I_n.to_rows()  # V^T, V^-1
+    m = len(A)
     while True:
         R = [a + u for a, u in zip(A, U)]
         _hermite(R, Ui_t, V_t, Vi, n)
@@ -647,6 +642,24 @@ def snf(M):
                 A[i][i], A[j][j] = g, a // g * b
                 _mix(U, Ui_t, i, j, x, y, -(b // g), a // g)
                 _mix(V_t, Vi, i, j, 1, 1, -(y * b // g), x * a // g)
+    return A, U, V_t
+
+
+def snf(M):
+    """Smith normal form of an integer matrix, with transforms.
+
+    `_smith`, the engine `elementary_divisors` shares, runs on identity
+    transforms, so U, V and their inverses follow every step.  Each
+    Hermite pass reduces the entries above every pivot modulo the pivot,
+    which keeps the entries of the transforms small (a few hundred bits
+    at 40x40 on entries in [-9, 9]).
+    """
+    if M.ring != ZZ:
+        raise ValueError("snf needs a Z matrix, got ring %s" % M.ring)
+    m, n = M.nrows, M.ncols
+    I_m, I_n = Matrix.identity(ZZ, m), Matrix.identity(ZZ, n)
+    Ui_t, Vi = I_m.to_rows(), I_n.to_rows()  # (U^-1)^T, V^-1
+    A, U, V_t = _smith(M.to_rows(), n, I_m.to_rows(), Ui_t, I_n.to_rows(), Vi)
     return SNFResult(
         S=_dense_to_matrix(A, n),
         U=_dense_to_matrix(U, m),
@@ -656,141 +669,55 @@ def snf(M):
     )
 
 
-def _clear_column_mod(rows, i, j, D):
-    """Row steps over Z/DZ leaving rows[i][j] alone in column j.
-
-    A multiple of the pivot is cleared by subtraction, which leaves row i
-    as it is; any other entry b by the 2x2 xgcd step, which lowers the
-    pivot a to gcd(a, b) < a.
-    """
-    for k, row in enumerate(rows):
-        b = row[j]
-        if k == i or not b:
-            continue
-        a = rows[i][j]
-        if b % a == 0:
-            q = b // a
-            rows[k] = [(v - q * u) % D for u, v in zip(rows[i], row)]
-            continue
-        g, x, y = _xgcd(a, b)
-        a, b = a // g, b // g  # [[x, y], [-b, a]] has det 1
-        rows[i], rows[k] = ([(x * u + y * v) % D for u, v in zip(rows[i], row)],
-                            [(a * v - b * u) % D for u, v in zip(rows[i], row)])
-
-
-def _divisors_mod(A, r, D):
-    """The r nonzero elementary divisors of the dense rows A, of rank r,
-    given the absolute value D of a nonzero r x r minor.
-
-    d_1 ... d_r divides every r x r minor, so each d_i divides D, and A is
-    diagonalized over Z/DZ with every entry kept in [0, D), after
-    Hafner-McCurley (SIAM J. Comput. 20, 1991) and Iliopoulos (SIAM J.
-    Comput. 18, 1989).  A pivot that is a unit mod D is one divisor 1 and
-    needs row steps only.  Any other pivot is made the only nonzero entry
-    of its row and column by `_clear_column_mod` on the rows and on the
-    transpose, repeated while the column steps refill its column, which
-    only an xgcd step that lowers the pivot can do.  The cyclic factors
-    Z/gcd(pivot, D), and one Z/D for each row without a pivot, make
-    coker A (x) Z/DZ, whose invariant factors are d_1, ..., d_r, D, ...,
-    D; 2x2 gcd/lcm steps sort them.
-    """
-    rows = [[v % D for v in row] for row in A]
-    found = []
-    while True:
-        rows = [row for row in rows if any(row)]
-        if not rows:
-            break
-        unit = next(((i, j) for i, row in enumerate(rows)
-                     for j, v in enumerate(row) if v and gcd(v, D) == 1), None)
-        if unit is not None:
-            i, j = unit
-            prow = rows.pop(i)
-            inv = pow(prow[j], -1, D)
-            prow = [v * inv % D for v in prow]
-            for k, row in enumerate(rows):
-                c = row[j]
-                if c:
-                    rows[k] = [(a - c * b) % D for a, b in zip(row, prow)]
-            found.append(1)
-        else:
-            _, i, j = min((v, i, j) for i, row in enumerate(rows)
-                          for j, v in enumerate(row) if v)
-            while True:
-                _clear_column_mod(rows, i, j, D)
-                cols = _transpose_rows(rows, len(rows[0]))
-                _clear_column_mod(cols, j, i, D)
-                rows = _transpose_rows(cols, len(rows))
-                if not any(row[j] for k, row in enumerate(rows) if k != i):
-                    break
-            found.append(gcd(rows.pop(i)[j], D))
-        for row in rows:
-            del row[j]
-    for i in range(len(found)):
-        for j in range(i + 1, len(found)):
-            a, b = found[i], found[j]
-            if b % a:
-                found[i], found[j] = gcd(a, b), lcm(a, b)
-    return (found + [D] * r)[:r]
-
-
 def elementary_divisors(M):
     """Nonzero diagonal of the Smith form of M, without transforms.
 
     Unit pivots are peeled off sparsely first (`_eliminate` in unit mode,
-    one unit divisor each).  On the residue, Bareiss with full pivoting
-    gives the rank r and a nonzero r x r minor D; the other divisors are
-    read off a Smith form modulo D (`_divisors_mod`).
+    one unit divisor each).  The dense residue goes through `_smith`, the
+    engine of `snf`, with empty transform rows, so it takes the same steps
+    as in `snf` and no transform is built.
     """
     if M.ring != ZZ:
         raise ValueError("elementary divisors need a Z matrix")
     ones, rows = _eliminate({i: dict(r) for i, r in enumerate(M.rows) if r}, True)
     if not rows:
         return [1] * ones
-    # dense residue
-    live_rows = sorted(rows)
     live_cols = sorted({j for r in rows.values() for j in r})
     cindex = {j: k for k, j in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for k, i in enumerate(live_rows):
-        for j, v in rows[i].items():
+    dense = [[0] * len(live_cols) for _ in rows]
+    for k, r in enumerate(rows.values()):
+        for j, v in r.items():
             dense[k][cindex[j]] = v
-    r, minor = _bareiss([row[:] for row in dense], len(live_cols))
-    return [1] * ones + _divisors_mod(dense, r, abs(minor))
+    A = _smith(dense, len(live_cols), [[] for _ in dense], [[] for _ in dense],
+               [[] for _ in live_cols], [[] for _ in live_cols])[0]
+    return [1] * ones + [A[i][i] for i in range(min(len(A), len(live_cols))) if A[i][i]]
 
 
-def _bareiss(A, ncols):
-    """(rank r, nonzero r x r minor) of dense integer rows A, consumed.
+def _bareiss(A):
+    """Determinant of the square dense integer rows A, consumed.
 
     Fraction-free elimination after Bareiss (Math. Comp. 22, 1968): the
-    pivot of step k is a (k+1) x (k+1) minor.  A zero pivot is replaced
-    from below in its column, each row swap flipping the sign, else from
-    a column to its right.  For a square A of full rank no column swap
-    happens, so the minor is det A; otherwise only its size is used.  The
-    empty minor of a zero matrix is 1.
+    pivot of step k is a (k+1) x (k+1) leading minor.  A zero pivot is
+    replaced from below in its column, each row swap flipping the sign; a
+    column with no pivot left makes the determinant 0.
     """
-    m = len(A)
+    n = len(A)
     sign = prev = 1
-    for k in range(min(m, ncols)):
+    for k in range(n):
         if not A[k][k]:
-            at = next(((i, j) for j in range(k, ncols) for i in range(k, m) if A[i][j]), None)
-            if at is None:
-                return k, sign * prev
-            i, j = at
-            if i != k:
-                A[k], A[i] = A[i], A[k]
-                sign = -sign
-            if j != k:  # column k is zero from row k on: A is not square of full rank
-                for row in A[k:]:
-                    row[k], row[j] = row[j], row[k]
+            i = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if i is None:
+                return 0
+            A[k], A[i] = A[i], A[k]
+            sign = -sign
         pk, pr = A[k][k], A[k]
-        right = range(k + 1, ncols)
-        for i in range(k + 1, m):
+        for i in range(k + 1, n):
             Ai = A[i]
             a = Ai[k]
-            for j in right:
+            for j in range(k + 1, n):
                 Ai[j] = (Ai[j] * pk - a * pr[j]) // prev
         prev = pk
-    return min(m, ncols), sign * prev
+    return sign * prev
 
 
 def det(M):
@@ -801,15 +728,12 @@ def det(M):
     """
     if M.nrows != M.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = M.nrows
     A = M.to_rows()
     if M.ring == ZZ:
-        r, minor = _bareiss(A, n)
-        return minor if r == n else 0
+        return _bareiss(A)
     mults = [lcm(*(x.denominator for x in row)) for row in A]
-    A = [[int(x * L) for x in row] for row, L in zip(A, mults)]
-    r, minor = _bareiss(A, n)
-    return Fraction(minor if r == n else 0, prod(mults))
+    return Fraction(_bareiss([[int(x * L) for x in row] for row, L in zip(A, mults)]),
+                    prod(mults))
 
 
 def solve_matrix(A, B):

@@ -394,7 +394,8 @@ def test_missing_required_flag_exits_usage(capsys):
 # golden output
 
 
-GOLDEN = Path(__file__).parent / "data" / "verify-all-seed0.kv"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "verify-all-seed0.kv"
 
 
 def test_verify_all_seed0_matches_the_golden_output(capsys, monkeypatch):
@@ -405,26 +406,32 @@ def test_verify_all_seed0_matches_the_golden_output(capsys, monkeypatch):
     assert out.encode() == GOLDEN.read_bytes()
 
 
-HYPER_GOLDEN = Path(__file__).parent / "data" / "hyper-bench-Z.kv"
 HYPER_FILES = sorted((Path(__file__).parent.parent / "bench" / "data" / "hyper").glob("*.fic"))
 
 
-def test_hyper_on_the_bench_complexes_matches_the_golden_output(capsys, monkeypatch):
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_hyper_on_the_bench_complexes_matches_the_golden_output(ring, capsys, monkeypatch,
+                                                                 tmp_path):
     """`fihom hyper FILE --level n` under kv for the frozen bench complexes
-    (file names sorted, levels 0..6), concatenated, byte for byte."""
+    (file names sorted, levels 0..6), concatenated, byte for byte.  The Q
+    case reads each file with its `ring Z` lines rewritten to `ring Q`."""
     assert [f.name for f in HYPER_FILES] == [
         "complex-s2.fic", "complex-s3.fic", "complex-s4.fic", "complex-s6.fic"]
     monkeypatch.setenv("FIHOM_FORMAT", "kv")
     out = []
     for path in HYPER_FILES:
+        if ring == "Q":
+            text = path.read_text().replace("ring Z\n", "ring Q\n")
+            path = tmp_path / path.name
+            path.write_text(text)
         for level in range(7):
             code, text, _ = run(capsys, ["hyper", str(path), "--level", str(level)])
             assert code == EXIT_OK
             out.append(text)
-    assert "".join(out).encode() == HYPER_GOLDEN.read_bytes()
+    assert "".join(out).encode() == (DATA / ("hyper-bench-%s.kv" % ring)).read_bytes()
 
 
-GEN_GOLDEN = Path(__file__).parent / "data" / "gen-golden.txt"
+GEN_GOLDEN = DATA / "gen-golden.txt"
 
 
 def test_gen_matches_the_golden_output(capsys):

@@ -23,12 +23,20 @@ from fihom import (
 from fihom.generate import gen_coker, gen_complex, gen_free
 
 
+def matrices(x):
+    """Every matrix of a module or complex: the iotas, then the differentials."""
+    mods = x.modules if isinstance(x, FIComplex) else [x]
+    diffs = x.diffs if isinstance(x, FIComplex) else []
+    return [M for V in mods for M in V.iota] + [M for d in diffs for M in d.levels]
+
+
 def round_trip(x):
     s = serialize(x)
     y = parse(s)
     assert serialize(y) == s
     assert type(y) is type(x)
     assert y.ring == x.ring and y.truncation == x.truncation
+    assert matrices(y) == matrices(x)  # sparse rows equal too: no stored zeros
     return y
 
 
@@ -105,15 +113,17 @@ def test_truncated_file_rejected():
 
 
 def test_bad_matrix_entry_names_its_line():
-    text = serialize(representable(1, 2, ZZ))
-    lines = text.splitlines()
-    # first iota with entries is 'iota 1' on a point module
-    idx = lines.index("iota 1") + 1
-    lines[idx] = "x"
-    with pytest.raises(ParseError) as err:
-        parse("\n".join(lines) + "\n")
-    assert err.value.line_no == idx + 1
-    assert ("line %d" % (idx + 1)) in str(err.value)
+    for ring, bad in ((ZZ, "x"), (QQ, "1/0")):
+        text = serialize(representable(1, 2, ring))
+        lines = text.splitlines()
+        # first iota with entries is 'iota 1' on a point module
+        idx = lines.index("iota 1") + 1
+        lines[idx] = bad
+        with pytest.raises(ParseError) as err:
+            parse("\n".join(lines) + "\n")
+        assert err.value.line_no == idx + 1
+        assert ("line %d" % (idx + 1)) in str(err.value)
+        assert ("bad %s entry %r" % (ring, bad)) in str(err.value)
 
 
 def test_unknown_ring_rejected():

@@ -1,7 +1,7 @@
 """Exact linear algebra: ranks, kernels, Smith form, homology classes."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import hypothesis.strategies as st
 import pytest
@@ -28,6 +28,7 @@ from fihom import (
     snf,
     solve_matrix,
 )
+from fihom import linalg
 from fihom.linalg import SNFResult, _eliminate, _int_rows, _xgcd
 
 
@@ -873,9 +874,128 @@ def test_elementary_divisors_match_old_on_dense_and_planted():
         assert divs == [d for d in old_snf(M).divisors() if d]
 
 
+# old_divisors_mod is elementary_divisors as it stood before the dense
+# residue went through `_smith`: a Bareiss loop with full pivoting gave the
+# rank r and a nonzero r x r minor D, and the divisors were read off a
+# Smith form modulo D.
+
+
+def old_bareiss(A, ncols):
+    """(rank r, nonzero r x r minor) of dense integer rows A, consumed.
+
+    A zero pivot is replaced from below in its column, each row swap
+    flipping the sign, else from a column to its right.  The empty minor
+    of a zero matrix is 1.
+    """
+    m = len(A)
+    sign = prev = 1
+    for k in range(min(m, ncols)):
+        if not A[k][k]:
+            at = next(((i, j) for j in range(k, ncols) for i in range(k, m) if A[i][j]), None)
+            if at is None:
+                return k, sign * prev
+            i, j = at
+            if i != k:
+                A[k], A[i] = A[i], A[k]
+                sign = -sign
+            if j != k:
+                for row in A[k:]:
+                    row[k], row[j] = row[j], row[k]
+        pk, pr = A[k][k], A[k]
+        right = range(k + 1, ncols)
+        for i in range(k + 1, m):
+            Ai = A[i]
+            a = Ai[k]
+            for j in right:
+                Ai[j] = (Ai[j] * pk - a * pr[j]) // prev
+        prev = pk
+    return min(m, ncols), sign * prev
+
+
+def old_clear_column_mod(rows, i, j, D):
+    """Row steps over Z/DZ leaving rows[i][j] alone in column j: a multiple
+    of the pivot by subtraction, any other entry by a 2x2 xgcd step."""
+    for k, row in enumerate(rows):
+        b = row[j]
+        if k == i or not b:
+            continue
+        a = rows[i][j]
+        if b % a == 0:
+            q = b // a
+            rows[k] = [(v - q * u) % D for u, v in zip(rows[i], row)]
+            continue
+        g, x, y = _xgcd(a, b)
+        a, b = a // g, b // g  # [[x, y], [-b, a]] has det 1
+        rows[i], rows[k] = ([(x * u + y * v) % D for u, v in zip(rows[i], row)],
+                            [(a * v - b * u) % D for u, v in zip(rows[i], row)])
+
+
+def old_smith_mod(A, r, D):
+    """The r nonzero elementary divisors of the dense rows A, of rank r,
+    given the absolute value D of a nonzero r x r minor (Hafner-McCurley,
+    SIAM J. Comput. 20, 1991).
+
+    A unit pivot mod D is one divisor 1; any other pivot is made alone in
+    its row and column, and gives Z/gcd(pivot, D).  Rows without a pivot
+    give Z/D each; 2x2 gcd/lcm steps sort the factors.
+    """
+    rows = [[v % D for v in row] for row in A]
+    found = []
+    while True:
+        rows = [row for row in rows if any(row)]
+        if not rows:
+            break
+        unit = next(((i, j) for i, row in enumerate(rows)
+                     for j, v in enumerate(row) if v and gcd(v, D) == 1), None)
+        if unit is not None:
+            i, j = unit
+            prow = rows.pop(i)
+            inv = pow(prow[j], -1, D)
+            prow = [v * inv % D for v in prow]
+            for k, row in enumerate(rows):
+                c = row[j]
+                if c:
+                    rows[k] = [(a - c * b) % D for a, b in zip(row, prow)]
+            found.append(1)
+        else:
+            _, i, j = min((v, i, j) for i, row in enumerate(rows)
+                          for j, v in enumerate(row) if v)
+            while True:
+                old_clear_column_mod(rows, i, j, D)
+                cols = [list(c) for c in zip(*rows)]
+                old_clear_column_mod(cols, j, i, D)
+                rows = [list(c) for c in zip(*cols)]
+                if not any(row[j] for k, row in enumerate(rows) if k != i):
+                    break
+            found.append(gcd(rows.pop(i)[j], D))
+        for row in rows:
+            del row[j]
+    for i in range(len(found)):
+        for j in range(i + 1, len(found)):
+            a, b = found[i], found[j]
+            if b % a:
+                found[i], found[j] = gcd(a, b), lcm(a, b)
+    return (found + [D] * r)[:r]
+
+
+def old_divisors_mod(M):
+    ones, rows = _eliminate({i: dict(r) for i, r in enumerate(M.rows) if r}, True)
+    if not rows:
+        return [1] * ones
+    live_cols = sorted({j for r in rows.values() for j in r})
+    cindex = {j: k for k, j in enumerate(live_cols)}
+    dense = [[0] * len(live_cols) for _ in rows]
+    for k, i in enumerate(sorted(rows)):
+        for j, v in rows[i].items():
+            dense[k][cindex[j]] = v
+    r, minor = old_bareiss([row[:] for row in dense], len(live_cols))
+    return [1] * ones + old_smith_mod(dense, r, abs(minor))
+
+
 def test_divisors_modulo_a_minor_without_unit_pivots():
     """Entries that share a factor with every minor: no pivot is a unit mod
-    D, so every divisor comes from the xgcd branch of `_divisors_mod`."""
+    D, so in the oracle `old_divisors_mod` every divisor comes from the
+    xgcd branch."""
     import random
 
     rng = random.Random("non-unit")
@@ -886,9 +1006,75 @@ def test_divisors_modulo_a_minor_without_unit_pivots():
         mats.append(zmat([[c * rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]))
     for M in mats:
         divs = elementary_divisors(M)
+        assert divs == old_divisors_mod(M)
         assert divs == old_elementary_divisors(M)
         assert divs == [d for d in snf_contract(M).divisors() if d]
         assert all(d > 1 for d in divs)
+
+
+def vandermonde(n):
+    return zmat([[x ** k for k in range(n)] for x in range(1, n + 1)])
+
+
+def parting_inputs():
+    """Inputs on which the Hermite passes and the modular divisors part
+    ways: huge entries (large minors), even entries (no unit pivot mod D),
+    a rank-deficient product, a Vandermonde (D is a product of factorials)
+    and a sparse matrix (a large unit peel before a dense residue)."""
+    import random
+
+    rng = random.Random("parting")
+    dense = zmat([[rng.randint(-10**6, 10**6) for _ in range(30)] for _ in range(30)])
+    even = zmat([[2 * rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
+    A = zmat([[rng.randint(-5, 5) for _ in range(20)] for _ in range(40)])
+    B = zmat([[rng.randint(-5, 5) for _ in range(50)] for _ in range(20)])
+    sparse = Matrix.from_sparse(ZZ, 80, 80, [
+        {j: rng.choice((-1, 1, 2, -2, 3, 4)) for j in range(80) if rng.random() < 0.08}
+        for _ in range(80)])
+    return [pytest.param(dense, id="dense30-1e6"), pytest.param(even, id="even40"),
+            pytest.param(A @ B, id="rank20-40x50"),
+            pytest.param(vandermonde(12), id="vandermonde12"),
+            pytest.param(sparse, id="sparse80")]
+
+
+@pytest.mark.parametrize("M", parting_inputs())
+def test_elementary_divisors_match_old_divisors_mod_where_they_part(M):
+    import time
+
+    start = time.perf_counter()
+    divs = elementary_divisors(M)
+    assert time.perf_counter() - start < 5.0
+    assert divs == old_divisors_mod(M)
+    assert len(divs) == rank(M)
+    assert all(d > 0 for d in divs)
+    assert all(b % a == 0 for a, b in zip(divs, divs[1:]))
+    if M.nrows == M.ncols:
+        assert (prod(divs) if len(divs) == M.nrows else 0) == abs(det(M))
+
+
+def test_one_smith_engine_behind_snf_and_elementary_divisors(monkeypatch):
+    """`snf` and `elementary_divisors` diagonalize through `linalg._smith`,
+    one call each, and agree on the divisors."""
+    calls = []
+    engine = linalg._smith
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return engine(*args)
+
+    monkeypatch.setattr(linalg, "_smith", counted)
+    mats = [zmat([[2, 4], [6, 8]]), zmat([[4, 0, 2], [0, 6, 0], [2, 0, 4]]),
+            vandermonde(6), SMITH_DIFF[3], SMITH_DIFF[7]]
+    for M in mats:
+        residue = _eliminate({i: dict(r) for i, r in enumerate(M.rows) if r}, True)[1]
+        assert residue  # a non-unit residue is left after the peel
+        calls.clear()
+        divs = elementary_divisors(M)
+        assert calls == [len(residue)]
+        calls.clear()
+        S = snf(M).S
+        assert calls == [M.nrows]
+        assert divs == [d for d in (S.entry(i, i) for i in range(min(M.shape))) if d]
 
 
 @pytest.mark.parametrize("n,seed,budget", [(40, "dense40", 5.0), (60, "dense60", 5.0)])
