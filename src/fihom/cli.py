@@ -212,16 +212,9 @@ def _cmd_hyper(args, fmt):
 
 def _report_pairs(rep, extra=()):
     pairs = list(extra)
-    if rep.t0_bound is not None:
-        pairs.append(("t0_bound", rep.t0_bound))
-    if rep.t1_bound is not None:
-        pairs.append(("t1_bound", rep.t1_bound))
-    if rep.cartesianity is not None:
-        pairs.append(("cartesianity", rep.cartesianity))
-    if rep.cocartesianity is not None:
-        pairs.append(("cocartesianity", rep.cocartesianity))
-    if rep.partition_min is not None:
-        pairs.append(("partition_min", rep.partition_min))
+    for name in ("t0_bound", "t1_bound", "cartesianity", "cocartesianity", "partition_min"):
+        if getattr(rep, name) is not None:
+            pairs.append((name, getattr(rep, name)))
     pairs.append(("regime", rep.regime))
     pairs.append(("formula", rep.formula))
     for note in rep.notes:

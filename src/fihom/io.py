@@ -130,6 +130,8 @@ def _read_matrix(cur, ring, nrows, ncols, what):
                              "%s: expected %d entries, got %d" % (what, ncols, len(toks)))
         row = {}
         for j, tok in enumerate(toks):
+            if tok == "0":
+                continue  # the common zero, unparsed; other spellings convert
             try:
                 x = conv(tok)
             except (ValueError, ZeroDivisionError):

@@ -286,10 +286,10 @@ def block_matrix(ring, row_dims, col_dims, blocks):
 
 
 def _int_rows(M):
-    """Sparse integer rows {i: row} with the same row space rank as M.
+    """Sparse integer rows {i: row}, row i of M scaled, zero rows left out.
 
     Rational rows are cleared by their denominator lcm and every row is
-    divided by its content; both are row scalings, so rank is preserved.
+    divided by its content; row scalings keep the rank and the RREF.
     """
     out = {}
     for i, r in enumerate(M.rows):
@@ -307,22 +307,73 @@ def _int_rows(M):
     return out
 
 
-def _eliminate(rows, units_only):
-    """Sparse elimination of integer rows {i: {j: v}}, in place.
-
-    Unit pivots come first, last found first: a row holding +-1 at column
-    j clears column j from every other row by r <- r - (r[j]*pv)*prow and
-    is dropped.  Its other entries die by column operations touching only
-    that row, so each unit pivot is one unit elementary divisor.  Unless
-    `units_only`, an empty queue lets a non-unit pivot pv (shortest row,
-    smallest entry) clear its column fraction-free, r <- (pv/g) r - (a/g) prow
-    with g = gcd(pv, a), each result divided by its content: that keeps the
-    rank, not the divisors.  Returns (pivot count, residue rows).
-    """
+def _column_index(rows):
+    """{col: set of row keys holding it} for the sparse rows {i: {j: v}}."""
     cols = {}
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
+    return cols
+
+
+def _clear(rows, cols, pi, pj, queue):
+    """Clear column pj from every integer row but the pivot row rows[pi].
+
+    In place, fraction-free: with a = r[pj], a row r becomes r - (a*pv)*prow
+    for a unit pivot pv = +-1, else (pv/g) r - (a/g) prow, g = gcd(pv, a),
+    divided by its content; either way a nonzero multiple of the row that
+    Gauss-Jordan over Q leaves.  `cols` follows fills and cancellations,
+    vanished rows are dropped, and entries left at +-1 go onto `queue`.
+    """
+    r = rows[pi]
+    pv = r[pj]
+    unit = pv in (1, -1)
+    for i in list(cols[pj]):
+        if i == pi:
+            continue
+        ri = rows[i]
+        if unit:
+            q = ri[pj] * pv  # ri - q*r zeroes column pj since pv*pv == 1
+        else:
+            g = gcd(pv, ri[pj])
+            q = ri[pj] // g
+            s = pv // g
+            if s != 1:
+                for j in ri:
+                    ri[j] *= s
+        for j, v in r.items():
+            w = ri.get(j, 0) - q * v
+            if w:
+                if j not in ri:
+                    cols.setdefault(j, set()).add(i)
+                ri[j] = w
+                if w in (1, -1):
+                    queue.append((i, j))
+            elif j in ri:
+                del ri[j]
+                cols[j].discard(i)
+        if not ri:
+            del rows[i]
+        elif not unit:
+            g = gcd(*ri.values())
+            if g > 1:
+                for j in ri:
+                    ri[j] //= g
+                queue.extend((i, j) for j, v in ri.items() if v in (1, -1))
+
+
+def _eliminate(rows, units_only):
+    """Sparse elimination of integer rows {i: {j: v}}, in place.
+
+    Picks the pivots; `_clear` clears each column, then the pivot row is
+    dropped.  Unit pivots come first, last found first: one scales no
+    other row, and its row's other entries die by column operations on
+    that row alone, so each is one unit elementary divisor.  Unless
+    `units_only`, an empty queue takes a non-unit pivot (shortest row,
+    smallest entry), which keeps the rank, not the divisors.  Returns
+    (pivot count, residue rows).
+    """
+    cols = _column_index(rows)
     queue = [(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)]
     count = 0
     while True:
@@ -337,40 +388,7 @@ def _eliminate(rows, units_only):
             pj = min(r, key=lambda j: abs(r[j]))
         else:
             return count, rows
-        pv = r[pj]
-        unit = pv in (1, -1)
-        for i in list(cols[pj]):
-            if i == pi:
-                continue
-            ri = rows[i]
-            if unit:
-                q = ri[pj] * pv  # ri - q*r zeroes column pj since pv*pv == 1
-            else:
-                g = gcd(pv, ri[pj])
-                q = ri[pj] // g
-                s = pv // g
-                if s != 1:
-                    for j in ri:
-                        ri[j] *= s
-            for j, v in r.items():
-                w = ri.get(j, 0) - q * v
-                if w:
-                    if j not in ri:
-                        cols.setdefault(j, set()).add(i)
-                    ri[j] = w
-                    if w in (1, -1):
-                        queue.append((i, j))
-                elif j in ri:
-                    del ri[j]
-                    cols[j].discard(i)
-            if not ri:
-                del rows[i]
-            elif not unit:
-                g = gcd(*ri.values())
-                if g > 1:
-                    for j in ri:
-                        ri[j] //= g
-                    queue.extend((i, j) for j, v in ri.items() if v in (1, -1))
+        _clear(rows, cols, pi, pj, queue)
         for j in r:
             cols[j].discard(pi)
         del rows[pi]
@@ -389,48 +407,30 @@ def rank(M):
 def rref(M):
     """(pivot columns, rows) of the reduced row echelon form of M over Q.
 
-    Gauss-Jordan on sparse rows {col: Fraction}, with a column index.
-    Each step pivots at the leftmost column still live in the unplaced
-    rows (on the shortest row holding it) and clears that column from
-    every other row, so the pivots and rows are those of the unique RREF.
+    Fraction-free Gauss-Jordan on `_int_rows(M)`, after Bareiss (Math.
+    Comp. 22, 1968) and Nakos, Turner and Williams (SIGSAM Bull. 31, 1997).
+    Each step pivots at the leftmost column live in the unplaced rows, on
+    the shortest row holding it, and `_clear`s it from every other row.
+    Each row stays a multiple of its Gauss-Jordan row over Q, so the
+    pivots are those of the unique RREF, and row t is the placed row over
+    its entry at pivots[t]: 1 there, the rest at non-pivot columns.
     Clearing only fills columns right of the pivot, so one left-to-right
-    sweep meets every pivot.  Row t has 1 at pivots[t] and its other
-    entries at non-pivot columns.
+    sweep meets every pivot.
     """
-    rows = [dict(r) if M.ring == QQ else {j: Fraction(v) for j, v in r.items()}
-            for r in M.rows]
-    cols = {}
-    for i, r in enumerate(rows):
-        for j in r:
-            cols.setdefault(j, set()).add(i)
-    pivots, placed = [], {}
+    rows = _int_rows(M)
+    cols = _column_index(rows)
+    pivots, placed, queue = [], {}, []
     for j in range(M.ncols):
         live = [i for i in cols.get(j, ()) if i not in placed]
         if not live:
             continue
         pi = min(live, key=lambda i: (len(rows[i]), i))
-        r = rows[pi]
-        pv = r[j]
-        if pv != 1:
-            for k in r:
-                r[k] /= pv
-        for i in list(cols[j]):
-            if i == pi:
-                continue
-            ri = rows[i]
-            c = ri[j]
-            for k, v in r.items():
-                w = ri.get(k, 0) - c * v
-                if w:
-                    if k not in ri:
-                        cols.setdefault(k, set()).add(i)
-                    ri[k] = w
-                else:
-                    del ri[k]
-                    cols[k].discard(i)
+        _clear(rows, cols, pi, j, queue)
+        queue.clear()  # rref picks its pivots by column, not from the queue
         pivots.append(j)
-        placed[pi] = r
-    return pivots, list(placed.values())
+        placed[pi] = rows[pi]
+    return pivots, [{k: Fraction(v, r[p]) for k, v in r.items()}
+                    for p, r in zip(pivots, placed.values())]
 
 
 def _kernel_matrix(ncols, pivots, rows):
@@ -474,8 +474,8 @@ def rank_kernel(M):
 def image_basis(M):
     """Matrix whose columns are a basis of im(M).
 
-    Over Q: the pivot columns of M (echelonized).  Over Z: a lattice basis
-    d_i * Uinv[:, i] read off the Smith form.
+    Over Q: the rows of the RREF of M^T, as columns.  Over Z: a lattice
+    basis d_i * Uinv[:, i] read off the Smith form.
     """
     if M.ring == QQ:
         rows = rref(M.transpose())[1]

@@ -431,6 +431,30 @@ def test_hyper_on_the_bench_complexes_matches_the_golden_output(ring, capsys, mo
     assert "".join(out).encode() == (DATA / ("hyper-bench-%s.kv" % ring)).read_bytes()
 
 
+BOUNDS_COMMANDS = (
+    [["conf", "--d", str(d), "--p", "2..8", "--variant", "both"] for d in range(3, 8)]
+    + [["conf", "--d", "4", "--p", "2..4", "--n", "3"]]
+    + [["cohomology", "--d", str(d), "--u", str(u), "--p", "0..8"]
+       for d in range(3, 8) for u in range(3)]
+    + [["bounds", "ganli", "--t", "2,3", "--k", "0"],
+       ["bounds", "bahran", "--delta", "3", "--hmax", "4"],
+       ["bounds", "goingdown", "--p", "1", "--variant", "general", "--t", "1,2,3,2,1"],
+       ["bounds", "goingdown", "--p", "3", "--variant", "monotone", "--f-const", "2"],
+       ["bounds", "goingdown", "--p", "3", "--variant", "linear", "--a", "2", "--b", "1"]])
+
+
+def test_bound_tables_match_the_golden_output(capsys, monkeypatch):
+    """The closed-form bound tables under kv, `BOUNDS_COMMANDS` in order,
+    concatenated: every `BoundReport` field, regime, formula and note."""
+    monkeypatch.setenv("FIHOM_FORMAT", "kv")
+    out = []
+    for argv in BOUNDS_COMMANDS:
+        code, text, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        out.append(text)
+    assert "".join(out).encode() == (DATA / "bounds-golden.kv").read_bytes()
+
+
 GEN_GOLDEN = DATA / "gen-golden.txt"
 
 

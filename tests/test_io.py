@@ -113,7 +113,7 @@ def test_truncated_file_rejected():
 
 
 def test_bad_matrix_entry_names_its_line():
-    for ring, bad in ((ZZ, "x"), (QQ, "1/0")):
+    for ring, bad in ((ZZ, "x"), (QQ, "1/0"), (QQ, "0/0")):
         text = serialize(representable(1, 2, ring))
         lines = text.splitlines()
         # first iota with entries is 'iota 1' on a point module
@@ -124,6 +124,30 @@ def test_bad_matrix_entry_names_its_line():
         assert err.value.line_no == idx + 1
         assert ("line %d" % (idx + 1)) in str(err.value)
         assert ("bad %s entry %r" % (ring, bad)) in str(err.value)
+
+
+@pytest.mark.parametrize("ring, spellings", [(QQ, ("0", "-0", "00", "0/5")), (ZZ, ("-0",))])
+def test_zero_spellings_are_parsed_and_not_stored(ring, spellings):
+    """Every zero entry token of M(2) spelled in turn as each of `spellings`."""
+    V = representable(2, 3, ring)
+    text = serialize(V)
+    lines, used = [], 0
+    for line in text.splitlines():
+        toks = line.split()
+        if toks and toks[0].isdigit():  # a matrix row
+            for j, tok in enumerate(toks):
+                if tok == "0":
+                    toks[j] = spellings[used % len(spellings)]
+                    used += 1
+            line = " ".join(toks)
+        lines.append(line)
+    assert used >= 2 * len(spellings)
+    W = parse("\n".join(lines) + "\n")
+    assert serialize(W) == text
+    assert matrices(W) == matrices(V)
+    trans = [W.transposition(n, i) for n in range(W.truncation + 1) for i in range(1, n)]
+    assert trans == [V.transposition(n, i) for n in range(V.truncation + 1) for i in range(1, n)]
+    assert all(v for M in matrices(W) + trans for r in M.rows for v in r.values())
 
 
 def test_unknown_ring_rejected():

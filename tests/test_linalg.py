@@ -1162,6 +1162,8 @@ def test_q_det_matches_gauss():
 # old_rref, OldQuotientCoords and the old_* Q readers are the dense
 # Gauss-Jordan, the per-vector quotient coordinates and the kernel, image
 # and solve branches as they stood before one sparse RREF served them all.
+# old_sparse_rref is that sparse RREF as it stood on Fraction rows, before
+# it ran on integer rows through the clearing step of `rank`.
 
 
 def old_rref(M):
@@ -1191,6 +1193,46 @@ def old_rref(M):
         if ri == nr:
             break
     return pivots, rows[:ri]
+
+
+def old_sparse_rref(M):
+    """(pivot columns, rows) of the RREF by sparse Gauss-Jordan on Fraction
+    rows {col: Fraction}, with a column index and canonical pivots: the
+    leftmost live column, on the shortest unplaced row holding it."""
+    rows = [dict(r) if M.ring == QQ else {j: Fraction(v) for j, v in r.items()}
+            for r in M.rows]
+    cols = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    pivots, placed = [], {}
+    for j in range(M.ncols):
+        live = [i for i in cols.get(j, ()) if i not in placed]
+        if not live:
+            continue
+        pi = min(live, key=lambda i: (len(rows[i]), i))
+        r = rows[pi]
+        pv = r[j]
+        if pv != 1:
+            for k in r:
+                r[k] /= pv
+        for i in list(cols[j]):
+            if i == pi:
+                continue
+            ri = rows[i]
+            c = ri[j]
+            for k, v in r.items():
+                w = ri.get(k, 0) - c * v
+                if w:
+                    if k not in ri:
+                        cols.setdefault(k, set()).add(i)
+                    ri[k] = w
+                else:
+                    del ri[k]
+                    cols[k].discard(i)
+        pivots.append(j)
+        placed[pi] = r
+    return pivots, list(placed.values())
 
 
 def old_kernel_basis_q(M):
@@ -1323,13 +1365,75 @@ def test_sparse_q_matrices_are_degenerate():
     assert any(0 < rank(M) < M.nrows - 1 for M in SPARSE_Q)
 
 
+def assert_rref_matches_both_oracles(M):
+    pivots, rows = rref(M)
+    opiv, orows = old_rref(M)
+    assert pivots == opiv
+    assert dense_rows(rows, M.ncols) == orows
+    assert all(r[p] == 1 for p, r in zip(pivots, rows))
+    # the sparse oracle also fixes each row's key order, so compare reprs
+    assert repr((pivots, rows)) == repr(old_sparse_rref(M))
+
+
 def test_rref_matches_old_rref():
     for M in SPARSE_Q + [M.transpose() for M in SPARSE_Q]:
-        pivots, rows = rref(M)
-        opiv, orows = old_rref(M)
-        assert pivots == opiv
-        assert dense_rows(rows, M.ncols) == orows
-        assert all(r[p] == 1 for p, r in zip(pivots, rows))
+        assert_rref_matches_both_oracles(M)
+
+
+def dense_q(seed, m, n, den, rank_=None):
+    """A seeded dense m x n rational matrix, entries in [-9, 9] over
+    denominators 1..den; of rank `rank_` when given (a product of an
+    m x rank_ and a rank_ x n factor)."""
+    import random
+
+    rng = random.Random("dense-rref:%s" % seed)
+
+    def entries(a, b):
+        return qmat([[Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(b)]
+                     for _ in range(a)])
+
+    if rank_ is None:
+        return entries(m, n)
+    return entries(m, rank_) @ entries(rank_, n)
+
+
+@pytest.mark.parametrize("seed,m,n,den,rank_", [
+    ("int30", 30, 30, 1, None), ("den7", 30, 30, 7, None), ("wide", 20, 40, 5, None),
+    ("rank30", 40, 40, 1, 30), ("den3", 40, 60, 3, None)])
+def test_dense_rational_rref_matches_both_oracles(seed, m, n, den, rank_):
+    """Dense inputs, where every clearing step fills and scales whole rows
+    and no pivot is a unit after the first few; each within 5 s."""
+    import time
+
+    M = dense_q(seed, m, n, den, rank_)
+    start = time.perf_counter()
+    pivots = rref(M)[0]
+    assert time.perf_counter() - start < 5.0
+    assert len(pivots) == (min(m, n) if rank_ is None else rank_)
+    assert_rref_matches_both_oracles(M)
+
+
+def test_rank_and_rref_clear_through_one_step(monkeypatch):
+    """`rank`, the unit peel and `rref` clear their columns through
+    `linalg._clear`: one call per pivot."""
+    calls = []
+    step = linalg._clear
+
+    def counted(rows, cols, pi, pj, queue):
+        calls.append((pi, pj))
+        return step(rows, cols, pi, pj, queue)
+
+    monkeypatch.setattr(linalg, "_clear", counted)
+    for M in SPARSE_Q[:10] + [dense_q("den7", 12, 9, 7)]:
+        calls.clear()
+        pivots = rref(M)[0]
+        assert [j for _, j in calls] == pivots
+        calls.clear()
+        assert rank(M) == len(calls) == len(pivots)
+    for M in SPARSE[:5]:
+        calls.clear()
+        ones = elementary_divisors(M).count(1)
+        assert 0 < len(calls) <= ones  # the peel's pivots are unit divisors
 
 
 def test_rref_of_an_integer_matrix_is_rational():
