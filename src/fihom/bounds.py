@@ -285,6 +285,9 @@ class CubeSpec:
                     self.k[frozenset(T)] = k_by_size[size]
         else:
             self.k = {frozenset(T): v for T, v in k_by_subset.items()}
+            for T in self.k:
+                if not T <= set(range(n)):
+                    raise ValueError("subset %s not inside 0..%d" % (sorted(T), n - 1))
             for size in range(1, n + 1):
                 for T in itertools.combinations(range(n), size):
                     if frozenset(T) not in self.k:

@@ -123,16 +123,24 @@ def _read_cube_spec(path):
             if parts[0] == "cube" and len(parts) == 2 and n is None:
                 n = int(parts[1])
             elif parts[0] == "size" and len(parts) == 3 and n is not None:
-                by_size[int(parts[1])] = int(parts[2])
+                table, key, v = by_size, int(parts[1]), int(parts[2])
+                bad = None if 1 <= key <= n else "must lie in 1..%d" % n
             elif parts[0] == "set" and len(parts) == 3 and n is not None:
-                T = tuple(sorted(int(x) for x in parts[1].split(",")))
-                by_subset[T] = int(parts[2])
+                table, v = by_subset, int(parts[2])
+                key = tuple(sorted(int(x) for x in parts[1].split(",")))
+                ok = len(set(key)) == len(key) and set(key) <= set(range(n))
+                bad = None if ok else "needs distinct elements in 0..%d" % (n - 1)
             else:
                 raise ValueError("bad cube spec line")
         except ValueError:
             raise _FileProblem("%s: line %d: expected 'cube N', 'size S V' "
                                "or 'set i,j,... V'" % (path, no))
-        if parts[0] == "cube" and n > _MAX_CUBE_N:
+        if parts[0] != "cube":
+            if bad or key in table:
+                raise _FileProblem("%s: line %d: %s %s %s" % (
+                    path, no, parts[0], parts[1], bad or "given twice"))
+            table[key] = v
+        elif n > _MAX_CUBE_N:
             # refused before CubeSpec builds its 2^n - 1 weights
             raise ValueError("cube dimension %d exceeds the limit n <= %d"
                              % (n, _MAX_CUBE_N))

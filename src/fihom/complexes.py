@@ -18,11 +18,11 @@ from .fimodule import (
     validate_morphism, zero_module,
 )
 from .homology import (
-    DegreeProfile, _ChainComplex, _check_square_zero, _degree_profile,
+    DegreeProfile, _ChainComplex, _cube_total, _degree_profile,
     fih_chain_complex,
 )
 from .linalg import (
-    AbelianClass, Matrix, QQ, QuotientCoords, _add_block, block_matrix, rank,
+    AbelianClass, Matrix, QQ, QuotientCoords, _put_block, block_matrix, rank,
 )
 
 
@@ -101,7 +101,9 @@ def validate_complex(W: FIComplex):
 
 @dataclass(frozen=True)
 class TotalComplexAt(_ChainComplex):
-    """Total complex of the cube bicomplex of an FIComplex at one level."""
+    """Total complex of the cube bicomplex of an FIComplex at one level:
+    sizes[m] = dim T_m (m_min <= m <= m_max) and D[m]: T_m -> T_{m-1}
+    (m_min < m <= m_max) as laid out and D^2-checked by `_cube_total`."""
 
     level: int
     m_min: int
@@ -122,43 +124,11 @@ class TotalComplexAt(_ChainComplex):
 
 
 def hyper_total_complex(W: FIComplex, n) -> TotalComplexAt:
-    """T_m = (+)_{p+q=m} S_p(W_q) with D = d_cube + (-1)^p del; D^2 = 0."""
-    if n > W.truncation or n < 0:
-        raise ValueError("level %d outside truncation %d" % (n, W.truncation))
-    ring = W.ring
-    rows_ = {q: fih_chain_complex(W.module(q), n)
-             for q in range(W.q_min, W.q_max + 1)}
-    m_min, m_max = W.q_min, W.q_max + n
-
-    sizes, layouts = {}, {}   # layouts[m][(p, q)]: offset of S_p(W_q) in T_m
-    for m in range(m_min, m_max + 1):
-        off, offs = 0, {}
-        for q in range(W.q_min, W.q_max + 1):
-            if 0 <= m - q <= n:
-                offs[(m - q, q)] = off
-                off += rows_[q].size(m - q)
-        layouts[m], sizes[m] = offs, off
-
-    D = {}
-    for m in range(m_min + 1, m_max + 1):
-        src = layouts[m]
-        tgt = layouts[m - 1]
-        mat_rows = [{} for _ in range(sizes[m - 1])]
-        for (p, q), soff in src.items():
-            if p >= 1 and (p - 1, q) in tgt:
-                _add_block(mat_rows, tgt[(p - 1, q)], soff, rows_[q].differential(p))
-            if (p, q - 1) in tgt:
-                # vertical: del applied on each subset summand, Koszul (-1)^p
-                sgn = -1 if p % 2 else 1
-                lvl = W.diff_level(q, n - p)
-                sdim = W.module(q).dims[n - p]
-                tdim = W.module(q - 1).dims[n - p]
-                toff = tgt[(p, q - 1)]
-                for t in range(comb(n, n - p)):
-                    _add_block(mat_rows, toff + t * tdim, soff + t * sdim, lvl, sgn)
-        D[m] = Matrix(ring, sizes[m - 1], sizes[m], mat_rows)
-    _check_square_zero(D, "D^2 != 0 at total degree %d (bug)")
-    return TotalComplexAt(n, m_min, m_max, sizes, D, ring)
+    """T_m = (+)_{p+q=m} S_p(W_q) with D = d_cube + (-1)^p del, built by
+    `_cube_total` in one pass; its one D^2 check covers each cube d^2."""
+    sizes, D, _ = _cube_total(n, W.q_min, W.modules, W.diff_level,
+                              "D^2 != 0 at total degree %d (bug)")
+    return TotalComplexAt(n, W.q_min, W.q_max + n, sizes, D, W.ring)
 
 
 def hyper_group(W: FIComplex, n, m) -> AbelianClass:
@@ -197,16 +167,20 @@ def levelwise_homology_module(W: FIComplex, k) -> FIModule:
 # the shift cone identity
 
 
-def _cube_chain_map(V, SV, nat, n):
-    """The map of cube complexes at level n induced by nat: V -> SV."""
-    A = fih_chain_complex(V, n)
-    B = fih_chain_complex(SV, n)
+def _cube_chain_map(V, n):
+    """(A, B, phi): the cube complexes at level n of V and of its shift SV,
+    and the chain map phi: A -> B induced by the natural map V -> SV."""
+    if n + 1 > V.truncation:
+        raise ValueError("need n + 1 <= truncation")
+    sd = shift_module(V)
+    A = fih_chain_complex(truncate(V, V.truncation - 1), n)
+    B = fih_chain_complex(sd.module, n)
     phi = []
     for q in range(n + 1):
         k = n - q
         rows = [{} for _ in range(B.size(q))]
         for t in range(comb(n, k)):
-            _add_block(rows, t * SV.dims[k], t * V.dims[k], nat.levels[k])
+            _put_block(rows, t * B.module.dims[k], t * V.dims[k], sd.natural.levels[k])
         phi.append(Matrix(V.ring, B.size(q), A.size(q), rows))
     return A, B, tuple(phi)
 
@@ -247,11 +221,7 @@ def shift_cone_check(V: FIModule, n) -> bool:
     it (the cube of V at n) and those containing it (the cube of SV at
     n); checked as exact matrix equality after the signed regrouping.
     """
-    if n + 1 > V.truncation:
-        raise ValueError("need n + 1 <= truncation")
-    sd = shift_module(V)
-    A, B, phi = _cube_chain_map(truncate(V, V.truncation - 1), sd.module,
-                                sd.natural, n)
+    A, B, phi = _cube_chain_map(V, n)
     C = fih_chain_complex(V, n + 1)
     for p in range(0, n + 2):
         if C.size(p) != A.size(p - 1) + B.size(p):
@@ -286,11 +256,7 @@ def shift_three_term_exactness(V: FIModule, n, a) -> bool:
     """
     if V.ring != QQ:
         raise ValueError("three-term exactness check runs over Q")
-    if n + 1 > V.truncation:
-        raise ValueError("need n + 1 <= truncation")
-    sd = shift_module(V)
-    A, B, phi = _cube_chain_map(truncate(V, V.truncation - 1), sd.module,
-                                sd.natural, n)
+    A, B, phi = _cube_chain_map(V, n)
     C = fih_chain_complex(V, n + 1)
     qa = QuotientCoords(A.boundary_in(a), A.boundary_out(a))
     qb = QuotientCoords(B.boundary_in(a), B.boundary_out(a))

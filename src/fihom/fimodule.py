@@ -23,7 +23,7 @@ from math import factorial
 from typing import Optional
 
 from .linalg import (
-    Matrix, QQ, ZZ, QuotientCoords, _add_block, block_matrix, homology_class,
+    Matrix, QQ, ZZ, QuotientCoords, _put_block, block_matrix, homology_class,
     snf,
 )
 
@@ -338,7 +338,7 @@ def free_fi_module(X: FBData, name=""):
                 if in_a and in_b:
                     # internal adjacent swap at the rank of a within S
                     r = S.index(a)
-                    _add_block(rows, off, off, X.transposition(k, r + 1))
+                    _put_block(rows, off, off, X.transposition(k, r + 1))
                 elif in_a != in_b:
                     T = tuple(sorted(set(S) ^ {a, b}))
                     toff = layout[T]
@@ -612,13 +612,13 @@ def _poset_presentation(V, n, K):
     coff = 0
     for S, T, pos in pairs:
         k = len(S)
-        _add_block(rows, offset[T], coff, ev(_face(k, pos), k + 1))
-        _add_block(rows, offset[S], coff, Matrix.identity(ring, V.dims[k]), -1)
+        _put_block(rows, offset[T], coff, ev(_face(k, pos), k + 1))
+        _put_block(rows, offset[S], coff, Matrix.identity(ring, V.dims[k]), True)
         coff += V.dims[k]
     P = Matrix(ring, total, coff, rows)
     crows = [{} for _ in range(V.dims[n])]
     for S in subsets:
-        _add_block(crows, 0, offset[S], ev(S, n))
+        _put_block(crows, 0, offset[S], ev(S, n))
     c = Matrix(ring, V.dims[n], total, crows)
     return P, c
 

@@ -18,7 +18,7 @@ from .fimodule import (
 )
 from .complexes import FIComplex, complex_from_morphisms
 from .io import serialize
-from .linalg import Matrix, QQ, ZZ, _add_block, kernel_basis
+from .linalg import Matrix, QQ, ZZ, _put_block, kernel_basis
 
 MAX_TRUNCATION = 6
 MAX_FB_DIM = 4
@@ -105,7 +105,7 @@ def random_fbdata(rng, ring, trunc, top=None, dim_cap=MAX_FB_DIM) -> FBData:
             rows = [{} for _ in range(dims[k])]
             off = 0
             for blk in blocks:
-                _add_block(rows, off, off, blk)
+                _put_block(rows, off, off, blk)
                 off += blk.nrows
             mats.append(Matrix(ring, dims[k], dims[k], rows))
         trans.append(tuple(mats))
@@ -152,12 +152,14 @@ def gen_coker(seed, ring=QQ, trunc=5, max_card=2, max_gens=3, retries=4) -> Coke
     """Cokernel of a random map (+) M(m_i) -> M(X).
 
     Over Z a torsion cokernel cannot be represented; such draws are
-    retried with a derived seed, and after `retries` misses the ring is
-    downgraded to Q (recorded on the instance).
+    retried with a derived seed, and after `retries` misses the last draw
+    is made over Q (the downgrade is recorded on the instance).
     """
     _guard(trunc)
-    attempt_ring = ring
+    if retries < 0:
+        raise ValueError("retries %d is negative" % retries)
     for attempt in range(retries + 1):
+        attempt_ring = ring if attempt < retries else QQ
         rng = random.Random("coker:%s:%d" % (seed, attempt))
         X = random_fbdata(rng, attempt_ring, trunc, top=min(max_card, trunc))
         target = free_fi_module(X, name="target")
@@ -169,8 +171,6 @@ def gen_coker(seed, ring=QQ, trunc=5, max_card=2, max_gens=3, retries=4) -> Coke
         try:
             C = fi_coker(f)
         except CokernelTorsionError:
-            if attempt == retries - 1 and ring == ZZ:
-                attempt_ring = QQ  # last resort: same draw shape over Q
             continue
         return CokerInstance(C, f, tuple(cards), X, attempt_ring,
                              downgraded=(attempt_ring != ring))

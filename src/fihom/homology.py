@@ -21,7 +21,7 @@ from .fimodule import (
     free_fi_module, representable_basis_injections, shift_module,
 )
 from .linalg import (
-    AbelianClass, Matrix, QQ, _abelian_class, _add_block,
+    AbelianClass, Matrix, QQ, _abelian_class, _put_block,
     elementary_divisors, image_basis, rank, solve_matrix,
 )
 
@@ -40,12 +40,14 @@ def subset_layout(V, n, size):
 class _ChainComplex:
     """Homology of a chain complex whose d^2 = 0 was checked when it was built.
 
-    A subclass supplies size(m), the ring as `_ring` and `_diff(m)`, the
-    stored differential C_m -> C_{m-1} or None where there is none.  The
-    invariants of each differential are computed once per object and
-    cached: over Z the elementary divisors of the map into C_m, over Q its
-    rank.  The rank of the map out of C_m is the count of its divisors once
-    they are known, so a sweep in ascending m eliminates each map once.
+    Both subclasses (`FIHComplexAt`, `TotalComplexAt`) are read out of the
+    one builder `_cube_total`, which runs that check.  A subclass supplies
+    size(m), the ring as `_ring` and `_diff(m)`, the stored differential
+    C_m -> C_{m-1} or None where there is none.  The invariants of each
+    differential are computed once per object and cached: over Z the
+    elementary divisors of the map into C_m, over Q its rank.  The rank of
+    the map out of C_m is the count of its divisors once they are known, so
+    a sweep in ascending m eliminates each map once.
     """
 
     def __post_init__(self):
@@ -122,33 +124,54 @@ class FIHComplexAt(_ChainComplex):
         return self.sizes[p] if 0 <= p <= self.level else 0
 
 
+def _cube_total(n, q_min, modules, del_at, message):
+    """(sizes, D, offsets): the total complex at level n of a cube bicomplex.
+
+    modules[t] is W_{q_min+t} and del_at(q, k) the map W_q(k) -> W_{q-1}(k).
+    T_m = (+)_{p+q=m} S_p(W_q), q ascending, each S_p in `subset_layout`
+    order; offsets[(p, q)][S] is the first row of W_q(S) in T_{p+q}.  Each
+    face block (sign (-1)^pos) and del block (sign (-1)^p) is written once
+    into D[m]: T_m -> T_{m-1}, then D^2 = 0 is checked once, raising
+    ArithmeticError(message % m).  One module gives its cube complex.
+    """
+    if n > modules[0].truncation or n < 0:
+        raise ValueError("level %d outside truncation %d" % (n, modules[0].truncation))
+    q_max = q_min + len(modules) - 1
+    sizes, offsets, D = {}, {}, {}
+    for m in range(q_min, q_max + n + 1):
+        sizes[m] = 0
+        for q in range(max(q_min, m - n), min(q_max, m) + 1):
+            layout, dim = subset_layout(modules[q - q_min], n, n - m + q)
+            offsets[(m - q, q)] = {S: sizes[m] + o for S, o in layout.items()}
+            sizes[m] += dim
+    for m in range(q_min + 1, q_max + n + 1):
+        rows = [{} for _ in range(sizes[m - 1])]
+        for q in range(max(q_min, m - n), min(q_max, m) + 1):
+            p = m - q
+            faces = face_matrices(modules[q - q_min], n - p) if p else ()
+            dl = del_at(q, n - p) if q > q_min else None
+            face_tgt, del_tgt = offsets.get((p - 1, q)), offsets.get((p, q - 1))
+            for S, soff in offsets[(p, q)].items():
+                for i in range(n):
+                    if i not in S:
+                        T = tuple(sorted(S + (i,)))
+                        pos = T.index(i)
+                        _put_block(rows, face_tgt[T], soff, faces[pos], pos % 2 == 1)
+                if dl is not None:
+                    _put_block(rows, del_tgt[S], soff, dl, p % 2 == 1)
+        D[m] = Matrix(modules[0].ring, sizes[m - 1], sizes[m], rows)
+    _check_square_zero(D, message)
+    return sizes, D, offsets
+
+
 def fih_chain_complex(V: FIModule, n) -> FIHComplexAt:
     """Build the cube complex of V at level n and verify d^2 = 0."""
-    if n > V.truncation or n < 0:
-        raise ValueError("level %d outside truncation %d" % (n, V.truncation))
-    ring = V.ring
-    layouts = [subset_layout(V, n, n - p) for p in range(n + 1)]
-    sizes = tuple(layouts[p][1] for p in range(n + 1))
-    faces = {k: face_matrices(V, k) for k in range(n)}
-    ds = []
-    for p in range(1, n + 1):
-        src, sdim = layouts[p]
-        tgt, tdim = layouts[p - 1]
-        k = n - p
-        rows = [{} for _ in range(tdim)]
-        for S, soff in src.items():
-            for i in range(n):
-                if i in S:
-                    continue
-                T = tuple(sorted(S + (i,)))
-                pos = T.index(i)
-                _add_block(rows, tgt[T], soff, faces[k][pos], -1 if pos % 2 else 1)
-        ds.append(Matrix(ring, tdim, sdim, rows))
-    _check_square_zero(dict(enumerate(ds, 1)),
-                       "d^2 != 0 at (level %d, degree %%d): structure maps "
-                       "violate the FI relations or the sign bookkeeping broke" % n)
-    return FIHComplexAt(V, n, sizes, tuple(ds),
-                        tuple(layouts[p][0] for p in range(n + 1)))
+    sizes, D, offsets = _cube_total(
+        n, 0, (V,), None,
+        "d^2 != 0 at (level %d, degree %%d): structure maps "
+        "violate the FI relations or the sign bookkeeping broke" % n)
+    return FIHComplexAt(V, n, tuple(sizes.values()), tuple(D.values()),
+                        tuple(offsets[(p, 0)] for p in range(n + 1)))
 
 
 def fih_group(V: FIModule, n, p) -> AbelianClass:
@@ -309,7 +332,7 @@ def _generated_submodule(V, k):
         stacked_rows = [{} for _ in range(V.dims[n])]
         off = 0
         for f in representable_basis_injections(k, n):
-            _add_block(stacked_rows, 0, off, ev(f, n))
+            _put_block(stacked_rows, 0, off, ev(f, n))
             off += V.dims[k]
         stacked = Matrix(ring, V.dims[n], off, stacked_rows)
         bases.append(image_basis(stacked))

@@ -247,16 +247,16 @@ class Matrix:
         return "Matrix(%s, %dx%d, nnz=%d)" % (self.ring, self.nrows, self.ncols, self.nnz())
 
 
-def _add_block(rows, r0, c0, blk, scale=1):
-    """rows[r0 + i][c0 + j] += scale * blk[i, j] on sparse rows, zeros unstored."""
+def _put_block(rows, r0, c0, blk, negate=False):
+    """rows[r0 + i][c0 + j] = blk[i, j], or -blk[i, j], on sparse rows.
+
+    Only writes: the caller places blocks that share no entry with each
+    other or with what the rows hold, so nothing is read, added or tested.
+    """
     for i, r in enumerate(blk.rows):
         tgt = rows[r0 + i]
         for j, v in r.items():
-            w = tgt.get(c0 + j, 0) + scale * v
-            if w:
-                tgt[c0 + j] = w
-            else:
-                tgt.pop(c0 + j, None)
+            tgt[c0 + j] = -v if negate else v
 
 
 def block_matrix(ring, row_dims, col_dims, blocks):
@@ -277,7 +277,7 @@ def block_matrix(ring, row_dims, col_dims, blocks):
         if blk.shape != (row_dims[bi], col_dims[bj]):
             raise ValueError("block (%d,%d) has shape %s, expected %s"
                              % (bi, bj, blk.shape, (row_dims[bi], col_dims[bj])))
-        _add_block(rows, roff[bi], coff[bj], blk)
+        _put_block(rows, roff[bi], coff[bj], blk)
     return Matrix(ring, roff[-1], coff[-1], rows)
 
 
@@ -297,7 +297,7 @@ def _int_rows(M):
             continue
         if M.ring == QQ:
             mult = lcm(*(v.denominator for v in r.values()))
-            d = {j: int(v * mult) for j, v in r.items()}
+            d = {j: v.numerator * (mult // v.denominator) for j, v in r.items()}
         else:
             d = dict(r)
         g = gcd(*d.values())
@@ -732,8 +732,8 @@ def det(M):
     if M.ring == ZZ:
         return _bareiss(A)
     mults = [lcm(*(x.denominator for x in row)) for row in A]
-    return Fraction(_bareiss([[int(x * L) for x in row] for row, L in zip(A, mults)]),
-                    prod(mults))
+    ints = [[x.numerator * (L // x.denominator) for x in r] for r, L in zip(A, mults)]
+    return Fraction(_bareiss(ints), prod(mults))
 
 
 def solve_matrix(A, B):

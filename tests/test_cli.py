@@ -231,6 +231,31 @@ def test_cube_bad_spec_file(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("text, line, why", [
+    ("cube 2\nset 0,5 3\nset 0 1\nset 1 1\n", 2, "set 0,5 needs distinct elements in 0..1"),
+    ("cube 2\nset 0 1\nset 1 1\nset 0,1 3\nset 0,0 0\n", 5,
+     "set 0,0 needs distinct elements in 0..1"),
+    ("cube 2\nset 0 1\nset 1 1\nset 1,0 3\nset 0,1 3\n", 5, "set 0,1 given twice"),
+    ("cube 2\nsize 1 1\nsize 2 3\nsize 1 0\n", 4, "size 1 given twice"),
+    ("cube 2\nsize 1 1\nsize 2 3\nsize 5 0\n", 4, "size 5 must lie in 1..2"),
+    ("cube 2\nsize 0 0\nsize 1 1\nsize 2 3\n", 2, "size 0 must lie in 1..2"),
+])
+def test_cube_spec_lines_out_of_range_or_repeated(capsys, tmp_path, text, line, why):
+    spec = tmp_path / "cube.txt"
+    spec.write_text(text)
+    code, out, err = run(capsys, ["cube", "--spec", str(spec), "--direction", "cart"])
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert "line %d: %s" % (line, why) in err
+
+
+def test_cube_spec_subset_outside_the_cube_is_a_value_error():
+    from fihom import CubeSpec
+
+    with pytest.raises(ValueError, match="subset \\[0, 5\\] not inside 0..1"):
+        CubeSpec(2, k_by_subset={(0,): 1, (1,): 1, (0, 1): 3, (0, 5): 3})
+
+
 def test_cube_over_the_limit_is_refused_before_building(capsys, tmp_path,
                                                        monkeypatch):
     import fihom.cli as cli

@@ -1,5 +1,10 @@
 """FI-chain complexes: total complex, hyperhomology, the shift cone."""
 
+import dataclasses
+import sys
+from math import comb
+from pathlib import Path
+
 import pytest
 
 from fihom import (
@@ -13,12 +18,14 @@ from fihom import (
     degrees,
     derivative_two_term,
     fih_group,
+    fih_chain_complex,
     free_morphism,
     gan_li_bounds,
     hyper_degrees,
     hyper_group,
     hyper_total_complex,
     levelwise_homology_module,
+    parse,
     representable,
     shift_cone_check,
     shift_three_term_exactness,
@@ -26,7 +33,11 @@ from fihom import (
     validate_complex,
     zero_module,
 )
-from fihom.generate import gen_coker, gen_complex, gen_free
+from fihom import complexes, fimodule, homology, linalg
+from fihom.fimodule import face_matrices
+from fihom.generate import gen_coker, gen_complex, gen_free, random_fbdata
+from fihom.homology import FIHComplexAt, _check_square_zero, subset_layout
+from fihom.linalg import Matrix, block_matrix
 
 
 def identity_complex(trunc=3, ring=QQ):
@@ -134,6 +145,211 @@ def test_gan_li_inequality_small_batch():
             hk = degrees(levelwise_homology_module(W, k), 1)
             assert hk.bound_value(0) <= rep.t0_bound
             assert hk.bound_value(1) <= rep.t1_bound
+
+
+# ---------------------------------------------------------------------------
+# one builder behind the cube complex and the total complex
+
+
+def old_add_block(rows, r0, c0, blk, scale=1):
+    """rows[r0 + i][c0 + j] += scale * blk[i, j] on sparse rows, zeros unstored."""
+    for i, r in enumerate(blk.rows):
+        tgt = rows[r0 + i]
+        for j, v in r.items():
+            w = tgt.get(c0 + j, 0) + scale * v
+            if w:
+                tgt[c0 + j] = w
+            else:
+                tgt.pop(c0 + j, None)
+
+
+def old_fih_chain_complex(V, n):
+    """The cube complex built on its own, one differential at a time."""
+    if n > V.truncation or n < 0:
+        raise ValueError("level %d outside truncation %d" % (n, V.truncation))
+    ring = V.ring
+    layouts = [subset_layout(V, n, n - p) for p in range(n + 1)]
+    sizes = tuple(layouts[p][1] for p in range(n + 1))
+    faces = {k: face_matrices(V, k) for k in range(n)}
+    ds = []
+    for p in range(1, n + 1):
+        src, sdim = layouts[p]
+        tgt, tdim = layouts[p - 1]
+        k = n - p
+        rows = [{} for _ in range(tdim)]
+        for S, soff in src.items():
+            for i in range(n):
+                if i in S:
+                    continue
+                T = tuple(sorted(S + (i,)))
+                pos = T.index(i)
+                old_add_block(rows, tgt[T], soff, faces[k][pos], -1 if pos % 2 else 1)
+        ds.append(Matrix(ring, tdim, sdim, rows))
+    _check_square_zero(dict(enumerate(ds, 1)),
+                       "d^2 != 0 at (level %d, degree %%d): structure maps "
+                       "violate the FI relations or the sign bookkeeping broke" % n)
+    return FIHComplexAt(V, n, sizes, tuple(ds),
+                        tuple(layouts[p][0] for p in range(n + 1)))
+
+
+def old_hyper_total_complex(W, n):
+    """(sizes, D): a checked cube complex per W_q, copied block by block
+    into the total rows, with the del blocks added beside them."""
+    if n > W.truncation or n < 0:
+        raise ValueError("level %d outside truncation %d" % (n, W.truncation))
+    ring = W.ring
+    rows_ = {q: old_fih_chain_complex(W.module(q), n)
+             for q in range(W.q_min, W.q_max + 1)}
+    m_min, m_max = W.q_min, W.q_max + n
+    sizes, layouts = {}, {}
+    for m in range(m_min, m_max + 1):
+        off, offs = 0, {}
+        for q in range(W.q_min, W.q_max + 1):
+            if 0 <= m - q <= n:
+                offs[(m - q, q)] = off
+                off += rows_[q].size(m - q)
+        layouts[m], sizes[m] = offs, off
+    D = {}
+    for m in range(m_min + 1, m_max + 1):
+        src = layouts[m]
+        tgt = layouts[m - 1]
+        mat_rows = [{} for _ in range(sizes[m - 1])]
+        for (p, q), soff in src.items():
+            if p >= 1 and (p - 1, q) in tgt:
+                old_add_block(mat_rows, tgt[(p - 1, q)], soff, rows_[q].differential(p))
+            if (p, q - 1) in tgt:
+                sgn = -1 if p % 2 else 1
+                lvl = W.diff_level(q, n - p)
+                sdim = W.module(q).dims[n - p]
+                tdim = W.module(q - 1).dims[n - p]
+                toff = tgt[(p, q - 1)]
+                for t in range(comb(n, n - p)):
+                    old_add_block(mat_rows, toff + t * tdim, soff + t * sdim, lvl, sgn)
+        D[m] = Matrix(ring, sizes[m - 1], sizes[m], mat_rows)
+    _check_square_zero(D, "D^2 != 0 at total degree %d (bug)")
+    return sizes, D
+
+
+def same_matrix(A, B):
+    """Equal, and every row holds its entries in the same order, so code that
+    iterates a row meets them as it did with the old builders."""
+    return A == B and all(list(r.items()) == list(s.items())
+                          for r, s in zip(A.rows, B.rows))
+
+
+HYPER_FILES = sorted((Path(__file__).parent.parent / "bench" / "data" / "hyper")
+                     .glob("*.fic"))
+
+
+def test_cube_complex_matches_the_old_builder():
+    modules = [representable(2, 6, ZZ)]
+    for ring in (ZZ, QQ):
+        modules += [gen_coker("cube-old:%d" % i, ring=ring, trunc=5).module
+                    for i in range(3)]
+    cells = 0
+    for V in modules:
+        for n in range(V.truncation + 1):
+            new, old = fih_chain_complex(V, n), old_fih_chain_complex(V, n)
+            assert new.sizes == old.sizes
+            assert new.offsets == old.offsets
+            assert len(new.d) == len(old.d) == n
+            assert all(same_matrix(a, b) for a, b in zip(new.d, old.d))
+            cells += sum(new.sizes)
+    assert cells > 1500
+
+
+def test_total_complex_matches_the_old_builder():
+    complexes_ = [gen_complex("total-old:%d" % i, ring=ring, trunc=4)
+                  for ring in (ZZ, QQ) for i in range(3)]
+    assert [f.name for f in HYPER_FILES] == [
+        "complex-s2.fic", "complex-s3.fic", "complex-s4.fic", "complex-s6.fic"]
+    for path in HYPER_FILES:
+        text = path.read_text()
+        complexes_ += [parse(text), parse(text.replace("ring Z\n", "ring Q\n"))]
+    assert {W.ring for W in complexes_} == {ZZ, QQ}
+    for W in complexes_:
+        for n in range(W.truncation + 1):
+            T = hyper_total_complex(W, n)
+            sizes, D = old_hyper_total_complex(W, n)
+            assert T.sizes == sizes
+            assert T.D.keys() == D.keys()
+            assert all(same_matrix(T.D[m], D[m]) for m in D)
+
+
+def test_total_complex_builds_no_cube_complex_and_checks_once(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (homology, complexes):
+        for name in ("_check_square_zero", "fih_chain_complex"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    W = gen_complex("once:0", ring=QQ, trunc=4)
+    for n in range(W.truncation + 1):
+        del calls[:]
+        hyper_total_complex(W, n)
+        assert calls == ["_check_square_zero"]
+
+
+def test_block_writes_never_overlap(monkeypatch):
+    """Every caller of the block writer places blocks on fresh entries."""
+    callers = set()
+    real = linalg._put_block
+
+    def checked(rows, r0, c0, blk, negate=False):
+        callers.add(sys._getframe(1).f_code.co_name)
+        for i, r in enumerate(blk.rows):
+            hit = set(rows[r0 + i]) & {c0 + j for j in r}
+            assert not hit, "block write over existing entries %s" % sorted(hit)
+        real(rows, r0, c0, blk, negate)
+
+    # `fihom.generate` the attribute is the function; the module is in sys.modules
+    for mod in (linalg, homology, fimodule, complexes, sys.modules["fihom.generate"]):
+        monkeypatch.setattr(mod, "_put_block", checked)
+    import random
+
+    X = random_fbdata(random.Random("overlap"), QQ, 4)
+    fimodule.free_fi_module(X)
+    for ring in (ZZ, QQ):
+        V = gen_coker("overlap:%s" % ring, ring=ring, trunc=4).module
+        for n in range(V.truncation + 1):
+            fih_chain_complex(V, n)
+            fimodule.colim_compare(V, n, 1)
+        homology.filtration_layer(V, 1)
+        W = gen_complex("overlap:%s" % ring, ring=ring, trunc=3)
+        for n in range(W.truncation + 1):
+            hyper_total_complex(W, n)
+        assert shift_cone_check(V, 2)
+    eye = Matrix.identity(QQ, 2)
+    assert block_matrix(QQ, [2, 2], [2, 2], {(0, 0): eye, (1, 1): eye, (0, 1): eye}) \
+        == Matrix.from_rows(QQ, [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert callers >= {"_cube_total", "block_matrix", "free_fi_module",
+                       "_poset_presentation", "_generated_submodule",
+                       "_cube_chain_map", "random_fbdata"}
+
+
+def test_both_square_zero_messages_survive():
+    # s_1 at level 2 acting by -1 breaks s_1 o iota = iota: the cube d^2 fails
+    V = constant_module(3, ZZ)
+    trans = list(V.trans)
+    trans[2] = (-V.trans[2][0],)
+    bad = dataclasses.replace(V, trans=tuple(trans))
+    with pytest.raises(ArithmeticError,
+                       match=r"d\^2 != 0 at \(level 2, degree 2\): structure maps"):
+        fih_chain_complex(bad, 2)
+    # del: M(0) -> M(0) is 1 at level 0 and 0 above, so not natural
+    W0, W1 = constant_module(2, ZZ), constant_module(2, ZZ)
+    levels = (Matrix.identity(ZZ, 1),) + (Matrix.zeros(ZZ, 1, 1),) * 2
+    W = complex_from_morphisms([W0, W1], [FIMorphism(W1, W0, levels)])
+    assert hyper_total_complex(W, 0).homology(0).is_zero()
+    with pytest.raises(ArithmeticError,
+                       match=r"D\^2 != 0 at total degree 2 \(bug\)"):
+        hyper_total_complex(W, 1)
 
 
 # ---------------------------------------------------------------------------

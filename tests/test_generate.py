@@ -44,6 +44,21 @@ def test_gen_coker_downgrade_policy():
     assert any("downgraded" in line for line in hit.notes())
 
 
+def test_gen_coker_last_attempt_is_drawn_over_q():
+    # retries=0 leaves only the Q draw; it used to reach the "unreachable" raise
+    for s in range(40):
+        inst = gen_coker(s, ring=ZZ, trunc=4, retries=0)
+        assert inst.ring == QQ and inst.module.ring == QQ and inst.downgraded
+    # with one retry the first draw is over Z, the second over Q
+    rings = {gen_coker(s, ring=ZZ, trunc=4, retries=1).ring for s in range(40)}
+    assert rings == {ZZ, QQ}
+    # the default budget draws as before: seed 6 is downgraded at trunc 4
+    assert gen_coker(6, ring=ZZ, trunc=4).downgraded
+    assert not gen_coker(0, ring=QQ, trunc=4, retries=0).downgraded
+    with pytest.raises(ValueError, match="retries -1 is negative"):
+        gen_coker(0, ring=ZZ, retries=-1)
+
+
 def test_gen_coker_notes_survive_serialization(tmp_path):
     from fihom.generate import generate
 
