@@ -268,6 +268,8 @@ class CubeSpec:
     Accepts either a full map {frozenset: value} or, in the symmetric
     case, a map {size: value}.  Monotonicity U <= V => k_U <= k_V is
     required (it is the hypothesis of the cube theorems) and checked.
+    Like `fihom cube --spec`, it refuses a size outside 1..n, a subset
+    key that is empty or repeats an element, and two keys for one set.
     """
 
     def __init__(self, n, k_by_subset=None, k_by_size=None):
@@ -276,18 +278,25 @@ class CubeSpec:
         self.n = n
         if (k_by_subset is None) == (k_by_size is None):
             raise ValueError("give exactly one of k_by_subset, k_by_size")
+        self.k = {}
         if k_by_size is not None:
-            self.k = {}
+            for size in k_by_size:
+                if not 1 <= size <= n:
+                    raise ValueError("size %r must lie in 1..%d" % (size, n))
             for size in range(1, n + 1):
                 if size not in k_by_size:
                     raise ValueError("missing weight for size %d" % size)
                 for T in itertools.combinations(range(n), size):
                     self.k[frozenset(T)] = k_by_size[size]
         else:
-            self.k = {frozenset(T): v for T, v in k_by_subset.items()}
-            for T in self.k:
+            for key, v in k_by_subset.items():
+                T = frozenset(key)
                 if not T <= set(range(n)):
                     raise ValueError("subset %s not inside 0..%d" % (sorted(T), n - 1))
+                if not T or len(T) != len(key) or T in self.k:
+                    raise ValueError("subset %r is empty, repeats an element or "
+                                     "names a set given before" % (key,))
+                self.k[T] = v
             for size in range(1, n + 1):
                 for T in itertools.combinations(range(n), size):
                     if frozenset(T) not in self.k:

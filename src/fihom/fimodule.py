@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Optional
 
@@ -318,11 +317,10 @@ def free_fi_module(X: FBData, name=""):
         src, d_src = layouts[n]
         tgt, _ = layouts[n + 1]
         rows = [{} for _ in range(layouts[n + 1][1])]
-        one = 1 if ring == ZZ else Fraction(1)
         for S, off in src.items():
             toff = tgt[S]
             for t in range(X.dims[len(S)]):
-                rows[toff + t][off + t] = one
+                rows[toff + t][off + t] = 1
         iotas.append(Matrix(ring, layouts[n + 1][1], d_src, rows))
     trans = []
     for n in range(N + 1):
@@ -331,7 +329,6 @@ def free_fi_module(X: FBData, name=""):
         for i in range(1, n):
             a, b = i - 1, i
             rows = [{} for _ in range(dim_n)]
-            one = 1 if ring == ZZ else Fraction(1)
             for S, off in layout.items():
                 k = len(S)
                 in_a, in_b = a in S, b in S
@@ -343,10 +340,10 @@ def free_fi_module(X: FBData, name=""):
                     T = tuple(sorted(set(S) ^ {a, b}))
                     toff = layout[T]
                     for t in range(X.dims[k]):
-                        rows[toff + t][off + t] = one
+                        rows[toff + t][off + t] = 1
                 else:
                     for t in range(X.dims[k]):
-                        rows[off + t][off + t] = one
+                        rows[off + t][off + t] = 1
             mats.append(Matrix(ring, dim_n, dim_n, rows))
         trans.append(tuple(mats))
     return FIModule(ring, N, dims, tuple(iotas), tuple(trans), name=name)
@@ -381,9 +378,8 @@ def regular_fbdata(m, N, ring):
         mats = []
         for i in range(1, m):
             rows = [{} for _ in range(dims[m])]
-            one = 1 if ring == ZZ else Fraction(1)
             for g in perms:
-                rows[index[tuple(_apply_swap(g, i))]][index[g]] = one
+                rows[index[tuple(_apply_swap(g, i))]][index[g]] = 1
             mats.append(Matrix(ring, dims[m], dims[m], rows))
         trans.append(tuple(mats))
     return FBData(ring, N, tuple(dims), tuple(trans))

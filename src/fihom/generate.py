@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fimodule import (
     FBData, FIModule, FIMorphism, direct_sum, fi_coker, free_fi_module,
@@ -32,22 +31,20 @@ def _guard(trunc, dims=None):
         raise ValueError("generating dims must lie in 0..%d" % MAX_FB_DIM)
 
 
-def _entry(rng, ring):
-    v = rng.randint(ENTRY_LO, ENTRY_HI)
-    return v if ring == ZZ else Fraction(v)
+def _entry(rng):
+    return rng.randint(ENTRY_LO, ENTRY_HI)
 
 
 def _perm_matrix(ring, k, i):
     """Adjacent transposition s_i acting on coordinates of the natural rep."""
     rows = [{} for _ in range(k)]
-    one = 1 if ring == ZZ else Fraction(1)
     for t in range(k):
         s = t
         if t == i - 1:
             s = i
         elif t == i:
             s = i - 1
-        rows[s][t] = one
+        rows[s][t] = 1
     return Matrix(ring, k, k, rows)
 
 
@@ -62,11 +59,10 @@ def _summand_menu(k):
 
 
 def _summand_trans(label, ring, k, i):
-    one = 1 if ring == ZZ else Fraction(1)
     if label == "trivial":
-        return Matrix.from_rows(ring, [[one]])
+        return Matrix.from_rows(ring, [[1]])
     if label == "sign":
-        return Matrix.from_rows(ring, [[-one]])
+        return Matrix.from_rows(ring, [[-1]])
     if label == "natural":
         return _perm_matrix(ring, k, i)
     raise ValueError(label)
@@ -166,7 +162,7 @@ def gen_coker(seed, ring=QQ, trunc=5, max_card=2, max_gens=3, retries=4) -> Coke
         cards = _free_source(rng, max_card, max_gens)
         images = []
         for m in cards:
-            images.append([_entry(rng, attempt_ring) for _ in range(target.dims[m])])
+            images.append([_entry(rng) for _ in range(target.dims[m])])
         f = free_morphism(cards, target, images)
         try:
             C = fi_coker(f)
@@ -198,10 +194,10 @@ def gen_complex(seed, ring=QQ, trunc=4, terms=3, max_card=2, max_gens=2) -> FICo
         images = []
         for m in cards[t]:
             if prev is None:
-                vec = [_entry(rng, ring) for _ in range(target.dims[m])]
+                vec = [_entry(rng) for _ in range(target.dims[m])]
             else:
                 basis = kernel_basis(prev.levels[m])
-                vec = [0 if ring == ZZ else Fraction(0)] * target.dims[m]
+                vec = [0] * target.dims[m]
                 for col in basis:
                     c = rng.randint(-2, 2)
                     if c:

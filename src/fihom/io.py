@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .complexes import FIComplex, validate_complex
 from .fimodule import FIModule, FIMorphism, validate
-from .linalg import Matrix, RINGS, ZZ
+from .linalg import Matrix, QQ, RINGS, ZZ, _coerce
 
 
 class ParseError(ValueError):
@@ -117,11 +117,19 @@ class _Cursor:
         return self.pos + 1
 
 
+def _q_entry(tok):
+    """A Q token as an int when integral, else as a Fraction."""
+    try:
+        return int(tok)
+    except ValueError:
+        return _coerce(QQ, Fraction(tok))
+
+
 def _read_matrix(cur, ring, nrows, ncols, what):
     """nrows lines of ncols entries, each converted once into sparse rows."""
     if ncols == 0:
         return Matrix.zeros(ring, nrows, 0)
-    conv = int if ring == ZZ else Fraction
+    conv = int if ring == ZZ else _q_entry
     rows = []
     for _ in range(nrows):
         toks = cur.next().split()

@@ -4,9 +4,10 @@ Smith normal form with unimodular transforms, ranks, kernels, cokernels,
 and homology classes of complexes of free modules.
 
 Matrices are immutable and sparse: one dict {col: entry} per row, zeros
-never stored.  Integer matrices hold Python ints, rational ones hold
-Fraction values (always in lowest terms with positive denominator, which
-Fraction guarantees).  No floating point anywhere.
+never stored.  Integer matrices hold Python ints.  A rational entry is an
+int when integral and a Fraction otherwise, never a float; only `_coerce`
+and the text reader in `io` normalize, and arithmetic results may stay a
+Fraction with denominator 1.  The public readers return Fractions over Q.
 """
 
 from __future__ import annotations
@@ -22,21 +23,23 @@ RINGS = (ZZ, QQ)
 
 
 def _coerce(ring, x):
-    if ring == ZZ:
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise TypeError("non-integral entry %r in a Z matrix" % (x,))
-            return int(x)
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError("bad Z entry %r" % (x,))
+    """x as a stored entry: an int when integral, else a Fraction (Q only)."""
+    if ring not in RINGS:
+        raise ValueError("unknown ring %r" % (ring,))
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return x.numerator
+        if ring == ZZ:
+            raise TypeError("non-integral entry %r in a Z matrix" % (x,))
         return x
-    if ring == QQ:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError("bad Q entry %r" % (x,))
-        return Fraction(x)
-    raise ValueError("unknown ring %r" % (ring,))
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError("bad %s entry %r" % (ring, x))
+    return x
+
+
+def _read(ring, xs):
+    """Entries as the public readers return them: Fractions over Q."""
+    return xs if ring == ZZ else [Fraction(x) for x in xs]
 
 
 class Matrix:
@@ -116,8 +119,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        one = 1 if ring == ZZ else Fraction(1)
-        return cls(ring, n, n, [{i: one} for i in range(n)])
+        return cls(ring, n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def diagonal(cls, ring, nrows, ncols, diag):
@@ -131,19 +133,15 @@ class Matrix:
     def entry(self, i, j):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError((i, j))
-        zero = 0 if self.ring == ZZ else Fraction(0)
-        return self.rows[i].get(j, zero)
+        return _read(self.ring, [self.rows[i].get(j, 0)])[0]
 
     def to_rows(self):
-        zero = 0 if self.ring == ZZ else Fraction(0)
-        return [[r.get(j, zero) for j in range(self.ncols)] for r in self.rows]
+        return [_read(self.ring, [r.get(j, 0) for j in range(self.ncols)])
+                for r in self.rows]
 
     def to_flat(self):
-        zero = 0 if self.ring == ZZ else Fraction(0)
-        out = []
-        for r in self.rows:
-            out.extend(r.get(j, zero) for j in range(self.ncols))
-        return out
+        return _read(self.ring, [r.get(j, 0) for r in self.rows
+                                 for j in range(self.ncols)])
 
     @property
     def shape(self):
@@ -219,18 +217,10 @@ class Matrix:
     def mul_vec(self, vec):
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        out = []
-        zero = 0 if self.ring == ZZ else Fraction(0)
-        for r in self.rows:
-            s = zero
-            for j, v in r.items():
-                s += v * vec[j]
-            out.append(s)
-        return out
+        return [sum(v * vec[j] for j, v in r.items()) for r in self.rows]
 
     def column(self, j):
-        zero = 0 if self.ring == ZZ else Fraction(0)
-        return [r.get(j, zero) for r in self.rows]
+        return _read(self.ring, [r.get(j, 0) for r in self.rows])
 
     def to_ring(self, ring):
         if ring == self.ring:
@@ -442,9 +432,7 @@ def _kernel_matrix(ncols, pivots, rows):
     pivset = set(pivots)
     free = [j for j in range(ncols) if j not in pivset]
     at = {f: t for t, f in enumerate(free)}
-    krows = [{} for _ in range(ncols)]
-    for t, f in enumerate(free):
-        krows[f][t] = Fraction(1)
+    krows = [{at[j]: 1} if j in at else {} for j in range(ncols)]
     for p, r in zip(pivots, rows):
         krows[p] = {at[j]: -v for j, v in r.items() if j != p}
     return free, Matrix(QQ, ncols, len(free), krows)
@@ -893,7 +881,7 @@ class QuotientCoords:
         self.dim = len(coords)
         self.lift = Matrix(QQ, self.ambient_dim, self.dim, [
             {at[t]: v for t, v in r.items() if t in at} for r in self._kernel.rows])
-        prows = [{free[t]: Fraction(1)} for t in coords]
+        prows = [{free[t]: 1} for t in coords]
         for p, r in zip(ypiv, yrows):
             for t, v in r.items():
                 if t != p:

@@ -222,6 +222,28 @@ def test_cube_spec_guards():
         strongly_cocartesian_spec(2, [1])
 
 
+def test_cube_spec_refuses_a_size_outside_the_cube():
+    with pytest.raises(ValueError, match="size 5 must lie in 1..2"):
+        CubeSpec(2, k_by_size={1: 1, 2: 3, 5: 0})
+    with pytest.raises(ValueError, match="size 0 must lie in 1..2"):
+        CubeSpec(2, k_by_size={0: 0, 1: 1, 2: 3})
+
+
+def test_cube_spec_refuses_a_subset_with_a_repeated_index():
+    with pytest.raises(ValueError, match="repeats an element"):
+        CubeSpec(2, k_by_subset={(0,): 2, (1,): 2, (0, 1): 3, (0, 0): 0})
+
+
+def test_cube_spec_refuses_the_empty_subset():
+    with pytest.raises(ValueError, match="is empty"):
+        CubeSpec(2, k_by_subset={(): 0, (0,): 2, (1,): 2, (0, 1): 3})
+
+
+def test_cube_spec_refuses_two_keys_for_one_set():
+    with pytest.raises(ValueError, match="subset \\(1, 0\\) .* given before"):
+        CubeSpec(2, k_by_subset={(0,): 2, (1,): 2, (0, 1): 3, (1, 0): 4})
+
+
 def test_direction_guard():
     spec = CubeSpec(1, k_by_size={1: 0})
     with pytest.raises(ValueError):

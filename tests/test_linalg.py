@@ -1199,8 +1199,7 @@ def old_sparse_rref(M):
     """(pivot columns, rows) of the RREF by sparse Gauss-Jordan on Fraction
     rows {col: Fraction}, with a column index and canonical pivots: the
     leftmost live column, on the shortest unplaced row holding it."""
-    rows = [dict(r) if M.ring == QQ else {j: Fraction(v) for j, v in r.items()}
-            for r in M.rows]
+    rows = [{j: Fraction(v) for j, v in r.items()} for r in M.rows]
     cols = {}
     for i, r in enumerate(rows):
         for j in r:
