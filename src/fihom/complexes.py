@@ -11,7 +11,6 @@ as negatively graded chain complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .fimodule import (
     FIModule, _quotient_module, shift_module, truncate, validate,
@@ -138,9 +137,10 @@ def hyper_group(W: FIComplex, n, m) -> AbelianClass:
 def hyper_degrees(W: FIComplex, krange) -> DegreeProfile:
     """t_k over k in krange = (k_lo, k_hi): top level with H_k(Tot) != 0."""
     k_lo, k_hi = krange
-    return _degree_profile(
-        [hyper_total_complex(W, n) for n in range(W.truncation + 1)],
-        range(k_lo, k_hi + 1))
+    if k_lo > k_hi:
+        raise ValueError("empty degree range %d..%d" % (k_lo, k_hi))
+    return _degree_profile(lambda n: hyper_total_complex(W, n), W.truncation,
+                           range(k_lo, k_hi + 1))
 
 
 def derivative_two_term(V: FIModule) -> FIComplex:
@@ -177,10 +177,9 @@ def _cube_chain_map(V, n):
     B = fih_chain_complex(sd.module, n)
     phi = []
     for q in range(n + 1):
-        k = n - q
         rows = [{} for _ in range(B.size(q))]
-        for t in range(comb(n, k)):
-            _put_block(rows, t * B.module.dims[k], t * V.dims[k], sd.natural.levels[k])
+        for S, off in A.offsets[q].items():
+            _put_block(rows, B.offsets[q][S], off, sd.natural.levels[n - q])
         phi.append(Matrix(V.ring, B.size(q), A.size(q), rows))
     return A, B, tuple(phi)
 

@@ -285,18 +285,23 @@ def face_matrices(V, k):
 # free modules
 
 
-def _subset_blocks(X, n):
-    """Basis layout of M(X)(n_): offsets of each subset block, total dim."""
-    offsets = {}
-    off = 0
-    for k in range(0, min(n, X.truncation) + 1):
-        d = X.dims[k]
-        if d == 0:
-            continue
+def _layout(dims, n, sizes):
+    """({S: offset}, total) of (+) X(S) over the subsets S of n_ with |S| in
+    `sizes` (ascending), ordered by (|S|, lex S); X(S) spans dims[|S|] rows.
+
+    The one layout of a direct sum over subsets: the cube complexes, the
+    free modules and the colimit presentation all read it."""
+    offsets, off = {}, 0
+    for k in sizes:
         for S in itertools.combinations(range(n), k):
             offsets[S] = off
-            off += d
+            off += dims[k]
     return offsets, off
+
+
+def _subset_blocks(X, n):
+    """Basis layout of M(X)(n_): the subsets of n_ whose X(S) is nonzero."""
+    return _layout(X.dims, n, [k for k in range(min(n, X.truncation) + 1) if X.dims[k]])
 
 
 def free_fi_module(X: FBData, name=""):
@@ -584,18 +589,10 @@ def _poset_presentation(V, n, K):
     """
     ring = V.ring
     K = min(K, n)
-    subsets = []
-    for k in range(K + 1):
-        subsets.extend(itertools.combinations(range(n), k))
-    offset = {}
-    off = 0
-    for S in subsets:
-        offset[S] = off
-        off += V.dims[len(S)]
-    total = off
+    offset, total = _layout(V.dims, n, range(K + 1))
     ev = _Injections(V)
     pairs = []
-    for S in subsets:
+    for S in offset:
         k = len(S)
         if k == K:
             continue
@@ -613,8 +610,8 @@ def _poset_presentation(V, n, K):
         coff += V.dims[k]
     P = Matrix(ring, total, coff, rows)
     crows = [{} for _ in range(V.dims[n])]
-    for S in subsets:
-        _put_block(crows, 0, offset[S], ev(S, n))
+    for S, off in offset.items():
+        _put_block(crows, 0, off, ev(S, n))
     c = Matrix(ring, V.dims[n], total, crows)
     return P, c
 

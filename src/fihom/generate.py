@@ -17,7 +17,7 @@ from .fimodule import (
 )
 from .complexes import FIComplex, complex_from_morphisms
 from .io import serialize
-from .linalg import Matrix, QQ, ZZ, _put_block, kernel_basis
+from .linalg import Matrix, QQ, ZZ, _coerce, _put_block, kernel_basis
 
 MAX_TRUNCATION = 6
 MAX_FB_DIM = 4
@@ -202,7 +202,7 @@ def gen_complex(seed, ring=QQ, trunc=4, terms=3, max_card=2, max_gens=2) -> FICo
                     c = rng.randint(-2, 2)
                     if c:
                         vec = [a + c * b for a, b in zip(vec, col)]
-            images.append(vec)
+            images.append([_coerce(ring, x) for x in vec])
         f = free_morphism(cards[t], target, images)
         mods.append(f.source)
         diffs.append(f)

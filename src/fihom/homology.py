@@ -12,13 +12,13 @@ mapping in, the generators-in-degree-n obstruction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .fimodule import (
-    FBData, FIModule, FIMorphism, _Injections, face_matrices, fi_coker,
-    free_fi_module, representable_basis_injections, shift_module,
+    CokernelTorsionError, FBData, FIModule, FIMorphism, _Injections, _layout,
+    _subset_blocks, face_matrices, fi_coker, representable_basis_injections,
+    shift_module,
 )
 from .linalg import (
     AbelianClass, Matrix, QQ, _abelian_class, _put_block,
@@ -28,13 +28,7 @@ from .linalg import (
 
 def subset_layout(V, n, size):
     """(offsets dict S -> column offset, total dim) for (+)_{|S|=size} V(S)."""
-    offsets = {}
-    off = 0
-    d = V.dims[size]
-    for S in itertools.combinations(range(n), size):
-        offsets[S] = off
-        off += d
-    return offsets, off
+    return _layout(V.dims, n, (size,))
 
 
 class _ChainComplex:
@@ -224,17 +218,20 @@ class DegreeProfile:
         return " ".join(bits)
 
 
-def _degree_profile(complexes, ks):
-    """t_k for k in ks: the top n with complexes[n].homology(k) != 0."""
-    N = len(complexes) - 1
-    values, certified = {}, {}
-    for k in ks:
-        top = None
-        for n, cpx in enumerate(complexes):
+def _degree_profile(complex_at, N, ks):
+    """t_k for k in ks: the top n <= N with complex_at(n).homology(k) != 0.
+
+    Level n is built, read in every degree k and dropped before level n + 1
+    is built, so one level's complex is alive at a time.
+    """
+    values = dict.fromkeys(ks)
+    for n in range(N + 1):
+        cpx = complex_at(n)
+        for k in ks:
             if not cpx.homology(k).is_zero():
-                top = n
-        values[k] = top
-        certified[k] = top is not None and top < N
+                values[k] = n
+        del cpx
+    certified = {k: v is not None and v < N for k, v in values.items()}
     return DegreeProfile(N, values, certified)
 
 
@@ -245,8 +242,7 @@ def degrees(V: FIModule, kmax) -> DegreeProfile:
         raise ValueError("kmax %d is negative" % kmax)
     if kmax > N:
         raise ValueError("kmax %d exceeds truncation %d" % (kmax, N))
-    return _degree_profile([fih_chain_complex(V, n) for n in range(N + 1)],
-                           range(kmax + 1))
+    return _degree_profile(lambda n: fih_chain_complex(V, n), N, range(kmax + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +382,7 @@ def filtration_layer(V: FIModule, k, free_data: Optional[FBData] = None):
         elif not h_f.is_zero():
             ok = False
     if free_data is not None and ok:
-        ok = _free_layer_checks(V, bases, k, free_data)
+        ok = _free_layer_checks(V, Fk, bases, k, free_data)
     return Fk, ok
 
 
@@ -404,7 +400,7 @@ def _layer_fbdata(X, lo, hi):
 
 def _matches_free_on(W, X):
     """Certificate that W is free on X: right dims, H_0 = X, H_{>0} = 0."""
-    if W.dims != free_fi_module(X).dims:
+    if W.dims != tuple(_subset_blocks(X, n)[1] for n in range(X.truncation + 1)):
         return False
     for n in range(W.truncation + 1):
         cpx = fih_chain_complex(W, n)
@@ -416,12 +412,12 @@ def _matches_free_on(W, X):
     return True
 
 
-def _free_layer_checks(V, bases, k, X):
-    Fk = _restrict(V, bases)
+def _free_layer_checks(V, Fk, bases, k, X):
+    """F_k (spanned by `bases`) free on X_{<=k}, and F_k/F_{k-1} free on X_k."""
     if not _matches_free_on(Fk, _layer_fbdata(X, 0, k)):
         return False
     if k == 0:
-        return _matches_free_on(Fk, _layer_fbdata(X, 0, 0))
+        return True
     prev_bases = _generated_submodule(V, k - 1)
     Fprev = _restrict(V, prev_bases)
     incl = []
@@ -432,6 +428,6 @@ def _free_layer_checks(V, bases, k, X):
         incl.append(sol)
     try:
         Q = fi_coker(FIMorphism(Fprev, Fk, tuple(incl)))
-    except Exception:
+    except CokernelTorsionError:
         return False
     return _matches_free_on(Q, _layer_fbdata(X, k, k))

@@ -132,6 +132,11 @@ def test_hyper_degrees_of_acyclic_complex():
     assert all(prof.value(k) is None for k in range(3))
 
 
+def test_hyper_degrees_refuses_an_empty_degree_range():
+    with pytest.raises(ValueError, match="empty degree range 3..1"):
+        hyper_degrees(identity_complex(), (3, 1))
+
+
 def test_gan_li_inequality_small_batch():
     from fihom import DegreeSeq
 

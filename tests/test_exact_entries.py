@@ -10,6 +10,7 @@ import pytest
 
 from fihom import Matrix, QQ, ZZ, hyper_total_complex, parse
 from fihom.cli import EXIT_OK, main
+from fihom.generate import gen_complex
 
 ROOT = Path(__file__).parent.parent
 HYPER_FILES = sorted((ROOT / "bench" / "data" / "hyper").glob("*.fic"))
@@ -147,3 +148,13 @@ def test_bench_hyper_complexes_over_q_hold_ints_only(watch, tmp_path):
             for D in tot.D.values():
                 assert _bad_entries(D, True) == []
     assert watch.found == []
+
+
+def test_gen_complex_over_q_stores_integral_entries_as_ints():
+    """Generator images drawn from Q kernel bases are stored as ints where
+    integral, so no matrix of a generated complex holds Fraction(n, 1)."""
+    for seed in range(10):
+        W = gen_complex(seed, QQ)
+        mats = [M for d in W.diffs for M in d.levels]
+        mats += [M for V in W.modules for M in V.iota + sum(V.trans, ())]
+        assert [v for M in mats for v in _bad_entries(M, True)] == [], seed

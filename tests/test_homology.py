@@ -1,6 +1,8 @@
 """The cube chain complex, FI-homology groups, degrees, and estimators."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -22,10 +24,12 @@ from fihom import (
     free_morphism,
     hmax_estimate,
     homology_class,
+    hyper_degrees,
     hyper_total_complex,
     representable,
     zero_module,
 )
+from fihom import complexes, homology
 from fihom.fimodule import FBData
 from fihom.generate import gen_coker, gen_complex, gen_free
 
@@ -297,6 +301,36 @@ def test_degrees_kmax_guard():
         degrees(constant_module(2, ZZ), 3)
     with pytest.raises(ValueError, match="negative"):
         degrees(constant_module(2, ZZ), -1)
+
+
+def _alive_at_each_build(monkeypatch, module, builder, run):
+    """For each call of module.builder made by run(): how many complexes
+    built earlier are still alive (after gc.collect()) when it starts."""
+    build = getattr(module, builder)
+    refs, alive = [], []
+
+    def tracked(*args):
+        gc.collect()
+        alive.append(sum(r() is not None for r in refs))
+        cpx = build(*args)
+        refs.append(weakref.ref(cpx))
+        return cpx
+
+    monkeypatch.setattr(module, builder, tracked)
+    run()
+    return alive
+
+
+def test_degree_profiles_hold_one_level_at_a_time(monkeypatch):
+    """degrees and hyper_degrees drop each level's complex once it is read."""
+    V = representable(2, 6, QQ)
+    alive = _alive_at_each_build(monkeypatch, homology, "fih_chain_complex",
+                                 lambda: degrees(V, 3))
+    assert alive == [0] * 7
+    W = gen_complex("walk", QQ, trunc=4)
+    alive = _alive_at_each_build(monkeypatch, complexes, "hyper_total_complex",
+                                 lambda: hyper_degrees(W, (0, W.q_max + 1)))
+    assert alive == [0] * 5
 
 
 def test_bound_value_defaults():
