@@ -11,6 +11,7 @@ as negatively graded chain complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .fimodule import (
     FIModule, _quotient_module, shift_module, truncate, validate,
@@ -102,7 +103,8 @@ def validate_complex(W: FIComplex):
 class TotalComplexAt(_ChainComplex):
     """Total complex of the cube bicomplex of an FIComplex at one level:
     sizes[m] = dim T_m (m_min <= m <= m_max) and D[m]: T_m -> T_{m-1}
-    (m_min < m <= m_max) as laid out and D^2-checked by `_cube_total`."""
+    (m_min < m <= m_max) as laid out and D^2-checked by `_cube_total`.
+    With a degree window `top`, m_max is at most top."""
 
     level: int
     m_min: int
@@ -110,24 +112,28 @@ class TotalComplexAt(_ChainComplex):
     sizes: dict                      # m -> dim T_m
     D: dict = field(repr=False)      # m -> matrix T_m -> T_{m-1}
     ring: str = "Z"
+    top: Optional[int] = None
 
     @property
     def _ring(self):
         return self.ring
 
     def _diff(self, m):
+        self._window(m)
         return self.D.get(m)
 
     def size(self, m):
+        self._window(m)
         return self.sizes.get(m, 0)
 
 
-def hyper_total_complex(W: FIComplex, n) -> TotalComplexAt:
+def hyper_total_complex(W: FIComplex, n, top=None) -> TotalComplexAt:
     """T_m = (+)_{p+q=m} S_p(W_q) with D = d_cube + (-1)^p del, built by
-    `_cube_total` in one pass; its one D^2 check covers each cube d^2."""
+    `_cube_total` in one pass; its one D^2 check covers each cube d^2.
+    With `top`, only the total degrees m <= top are built."""
     sizes, D, _ = _cube_total(n, W.q_min, W.modules, W.diff_level,
-                              "D^2 != 0 at total degree %d (bug)")
-    return TotalComplexAt(n, W.q_min, W.q_max + n, sizes, D, W.ring)
+                              "D^2 != 0 at total degree %d (bug)", top)
+    return TotalComplexAt(n, W.q_min, max(sizes), sizes, D, W.ring, top)
 
 
 def hyper_group(W: FIComplex, n, m) -> AbelianClass:
@@ -135,12 +141,18 @@ def hyper_group(W: FIComplex, n, m) -> AbelianClass:
 
 
 def hyper_degrees(W: FIComplex, krange) -> DegreeProfile:
-    """t_k over k in krange = (k_lo, k_hi): top level with H_k(Tot) != 0."""
+    """t_k over k in krange = (k_lo, k_hi): top level with H_k(Tot) != 0.
+
+    Each level is built through total degree max(k_hi + 1, q_max + 2)
+    only, which reads every H_k asked for and keeps every D^2 relation
+    checked by the ascending walk (see `_cube_total`).
+    """
     k_lo, k_hi = krange
     if k_lo > k_hi:
         raise ValueError("empty degree range %d..%d" % (k_lo, k_hi))
-    return _degree_profile(lambda n: hyper_total_complex(W, n), W.truncation,
-                           range(k_lo, k_hi + 1))
+    top = max(k_hi + 1, W.q_max + 2)
+    return _degree_profile(lambda n: hyper_total_complex(W, n, top),
+                           W.truncation, range(k_lo, k_hi + 1))
 
 
 def derivative_two_term(V: FIModule) -> FIComplex:

@@ -22,8 +22,8 @@ from math import factorial
 from typing import Optional
 
 from .linalg import (
-    Matrix, QQ, ZZ, QuotientCoords, _put_block, block_matrix, homology_class,
-    snf,
+    Matrix, QQ, ZZ, QuotientCoords, _put_block, _snf, block_matrix,
+    homology_class,
 )
 
 
@@ -534,7 +534,7 @@ def fi_coker(f: FIMorphism) -> FIModule:
     # and then rows r.. of U project onto it and columns r.. of U^-1 lift it
     quots = []
     for n in range(N + 1):
-        res = snf(f.levels[n])
+        res = _snf(f.levels[n], U=True, U_inv=True)
         ds = [d for d in res.divisors() if d]
         if any(d != 1 for d in ds):
             raise CokernelTorsionError(

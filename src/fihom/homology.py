@@ -42,11 +42,22 @@ class _ChainComplex:
     elementary divisors of the map into C_m, over Q its rank.  The rank of
     the map out of C_m is the count of its divisors once they are known, so
     a sweep in ascending m eliminates each map once.
+
+    A complex built with a degree window (`top` not None) holds C_m and
+    C_m -> C_{m-1} only for m <= top.  Reading size, differential or
+    boundary_out above top, or boundary_in or homology at top or above,
+    raises ValueError: the missing map is not a zero map.
     """
 
     def __post_init__(self):
         object.__setattr__(self, "_ranks", {})
         object.__setattr__(self, "_divs", {})
+
+    def _window(self, m):
+        """Raise ValueError if degree m lies above the window built."""
+        if self.top is not None and m > self.top:
+            raise ValueError("degree %d above the window built up to degree %d"
+                             % (m, self.top))
 
     def boundary_out(self, m):
         """The map out of C_m (a 0-row zero matrix where there is none)."""
@@ -72,6 +83,7 @@ class _ChainComplex:
         return self._divs[m]
 
     def homology(self, m):
+        self._window(m + 1)
         if self.size(m) == 0:
             return AbelianClass(0)
         if self._ring == QQ:
@@ -92,33 +104,38 @@ class FIHComplexAt(_ChainComplex):
     """fih_chain_complex(V, n): the cube complex of V at level n.
 
     d[p-1] is the differential S_p -> S_{p-1} (1 <= p <= n); offsets[p]
-    locates the V(S) summand inside S_p.
+    locates the V(S) summand inside S_p.  With a degree window `top`, only
+    p <= top are held.
     """
 
     module: FIModule
     level: int
-    sizes: tuple            # dim S_p for p = 0..n
+    sizes: tuple            # dim S_p for p = 0..min(n, top)
     d: tuple                # d[p-1]: S_p -> S_{p-1}
     offsets: tuple = field(repr=False, default=())
+    top: Optional[int] = None
 
     @property
     def _ring(self):
         return self.module.ring
 
     def _diff(self, p):
+        self._window(p)
         return self.d[p - 1] if 1 <= p <= self.level else None
 
     def differential(self, p):
         """d_p: S_p -> S_{p-1}."""
         if not (1 <= p <= self.level):
             raise ValueError("no differential d_%d at level %d" % (p, self.level))
+        self._window(p)
         return self.d[p - 1]
 
     def size(self, p):
+        self._window(p)
         return self.sizes[p] if 0 <= p <= self.level else 0
 
 
-def _cube_total(n, q_min, modules, del_at, message):
+def _cube_total(n, q_min, modules, del_at, message, top=None):
     """(sizes, D, offsets): the total complex at level n of a cube bicomplex.
 
     modules[t] is W_{q_min+t} and del_at(q, k) the map W_q(k) -> W_{q-1}(k).
@@ -127,18 +144,36 @@ def _cube_total(n, q_min, modules, del_at, message):
     face block (sign (-1)^pos) and del block (sign (-1)^p) is written once
     into D[m]: T_m -> T_{m-1}, then D^2 = 0 is checked once, raising
     ArithmeticError(message % m).  One module gives its cube complex.
+
+    With a degree window `top`, T_m is laid out and D[m] written only for
+    m <= top, and D^2 = 0 is checked on the pairs built.  A walk that
+    builds the levels 0, 1, ..., n in turn, each with top >= q_max + 2,
+    drops no relation of the full check.  The block of D[m-1] @ D[m] from
+    W_q(S) to W_{q-2+|J|}(S u J), with |S| = a and |J| = 0, 1 or 2, reads
+    only the faces and dels of the W's at cardinalities a .. a + |J|, and
+    up to one common sign the signs of its terms depend only on where J
+    sits in S u J.  Each such placement occurs at level a + |J| with S the
+    complement of J, in cube degree p = |J| and total degree
+    q + |J| <= q_max + 2: the face-face blocks in d_1 d_2, the face-del
+    blocks at p = 1 and the del-del blocks at p = 0.  So at the first level
+    where the full build fails, every failing block has p <= 2, and the
+    window fails there in the same first degree, with the same message.
+    The argument needs the levels below n checked first, so builders of a
+    single level (`fih_group`, the `homology` and `hyper` commands, the
+    homology suite, `_matches_free_on`, the shift checks) build it whole.
     """
     if n > modules[0].truncation or n < 0:
         raise ValueError("level %d outside truncation %d" % (n, modules[0].truncation))
     q_max = q_min + len(modules) - 1
+    hi = q_max + n if top is None else min(top, q_max + n)
     sizes, offsets, D = {}, {}, {}
-    for m in range(q_min, q_max + n + 1):
+    for m in range(q_min, hi + 1):
         sizes[m] = 0
         for q in range(max(q_min, m - n), min(q_max, m) + 1):
             layout, dim = subset_layout(modules[q - q_min], n, n - m + q)
             offsets[(m - q, q)] = {S: sizes[m] + o for S, o in layout.items()}
             sizes[m] += dim
-    for m in range(q_min + 1, q_max + n + 1):
+    for m in range(q_min + 1, hi + 1):
         rows = [{} for _ in range(sizes[m - 1])]
         for q in range(max(q_min, m - n), min(q_max, m) + 1):
             p = m - q
@@ -158,14 +193,15 @@ def _cube_total(n, q_min, modules, del_at, message):
     return sizes, D, offsets
 
 
-def fih_chain_complex(V: FIModule, n) -> FIHComplexAt:
-    """Build the cube complex of V at level n and verify d^2 = 0."""
+def fih_chain_complex(V: FIModule, n, top=None) -> FIHComplexAt:
+    """Build the cube complex of V at level n and verify d^2 = 0; with
+    `top`, only the degrees p <= top (see `_cube_total`)."""
     sizes, D, offsets = _cube_total(
         n, 0, (V,), None,
         "d^2 != 0 at (level %d, degree %%d): structure maps "
-        "violate the FI relations or the sign bookkeeping broke" % n)
+        "violate the FI relations or the sign bookkeeping broke" % n, top)
     return FIHComplexAt(V, n, tuple(sizes.values()), tuple(D.values()),
-                        tuple(offsets[(p, 0)] for p in range(n + 1)))
+                        tuple(offsets[(p, 0)] for p in sizes), top)
 
 
 def fih_group(V: FIModule, n, p) -> AbelianClass:
@@ -236,13 +272,20 @@ def _degree_profile(complex_at, N, ks):
 
 
 def degrees(V: FIModule, kmax) -> DegreeProfile:
-    """DegreeProfile of t_0 .. t_kmax over all levels up to the truncation."""
+    """DegreeProfile of t_0 .. t_kmax over all levels up to the truncation.
+
+    Each level is built through degree max(kmax + 1, 2) only: H_k reads d_k
+    and d_{k+1}, and keeping d_2 keeps every d^2 relation checked by the
+    ascending walk (see `_cube_total`).
+    """
     N = V.truncation
     if kmax < 0:
         raise ValueError("kmax %d is negative" % kmax)
     if kmax > N:
         raise ValueError("kmax %d exceeds truncation %d" % (kmax, N))
-    return _degree_profile(lambda n: fih_chain_complex(V, n), N, range(kmax + 1))
+    top = max(kmax + 1, 2)
+    return _degree_profile(lambda n: fih_chain_complex(V, n, top), N,
+                           range(kmax + 1))
 
 
 # ---------------------------------------------------------------------------

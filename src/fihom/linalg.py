@@ -448,7 +448,7 @@ def kernel_basis(M):
     if M.ring == QQ:
         K = _kernel_matrix(M.ncols, *rref(M))[1]
         return [K.column(t) for t in range(K.ncols)]
-    res = snf(M)
+    res = _snf(M, V=True)
     r = len([d for d in res.divisors() if d])
     return [res.V.column(j) for j in range(r, M.ncols)]
 
@@ -468,7 +468,7 @@ def image_basis(M):
     if M.ring == QQ:
         rows = rref(M.transpose())[1]
         return Matrix(QQ, len(rows), M.nrows, rows).transpose()
-    res = snf(M)
+    res = _snf(M, U_inv=True)
     ds = [d for d in res.divisors() if d]
     rows = [{} for _ in range(M.nrows)]
     for i, d in enumerate(ds):
@@ -484,7 +484,10 @@ def image_basis(M):
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U @ M @ V == S with S diagonal, d_1 | d_2 | ..., U, V unimodular."""
+    """U @ M @ V == S with S diagonal, d_1 | d_2 | ..., U, V unimodular.
+
+    `snf` fills every field; `_snf` leaves the transforms not asked for None.
+    """
 
     S: Matrix
     U: Matrix
@@ -633,6 +636,30 @@ def _smith(A, n, U, Ui_t, V_t, Vi):
     return A, U, V_t
 
 
+def _snf(M, U=False, U_inv=False, V=False, V_inv=False):
+    """SNFResult of the Z matrix M with only the transforms asked for.
+
+    A transform not asked for starts as empty rows, which `_smith` carries
+    without building, and is None in the result; S is the same either way.
+    """
+    if M.ring != ZZ:
+        raise ValueError("snf needs a Z matrix, got ring %s" % M.ring)
+    m, n = M.nrows, M.ncols
+
+    def start(size, want):
+        return Matrix.identity(ZZ, size).to_rows() if want else [[] for _ in range(size)]
+
+    Ui_t, Vi = start(m, U_inv), start(n, V_inv)  # (U^-1)^T, V^-1
+    A, Ur, V_t = _smith(M.to_rows(), n, start(m, U), Ui_t, start(n, V), Vi)
+    return SNFResult(
+        S=_dense_to_matrix(A, n),
+        U=_dense_to_matrix(Ur, m) if U else None,
+        V=_dense_to_matrix(V_t, n).transpose() if V else None,
+        U_inv=_dense_to_matrix(Ui_t, m).transpose() if U_inv else None,
+        V_inv=_dense_to_matrix(Vi, n) if V_inv else None,
+    )
+
+
 def snf(M):
     """Smith normal form of an integer matrix, with transforms.
 
@@ -640,21 +667,11 @@ def snf(M):
     transforms, so U, V and their inverses follow every step.  Each
     Hermite pass reduces the entries above every pivot modulo the pivot,
     which keeps the entries of the transforms small (a few hundred bits
-    at 40x40 on entries in [-9, 9]).
+    at 40x40 on entries in [-9, 9]).  The Z callers that read only some
+    transforms (`kernel_basis`, `image_basis`, `solve_matrix`, `fi_coker`)
+    ask `_snf` for just those.
     """
-    if M.ring != ZZ:
-        raise ValueError("snf needs a Z matrix, got ring %s" % M.ring)
-    m, n = M.nrows, M.ncols
-    I_m, I_n = Matrix.identity(ZZ, m), Matrix.identity(ZZ, n)
-    Ui_t, Vi = I_m.to_rows(), I_n.to_rows()  # (U^-1)^T, V^-1
-    A, U, V_t = _smith(M.to_rows(), n, I_m.to_rows(), Ui_t, I_n.to_rows(), Vi)
-    return SNFResult(
-        S=_dense_to_matrix(A, n),
-        U=_dense_to_matrix(U, m),
-        V=_dense_to_matrix(V_t, n).transpose(),
-        U_inv=_dense_to_matrix(Ui_t, m).transpose(),
-        V_inv=_dense_to_matrix(Vi, n),
-    )
+    return _snf(M, True, True, True, True)
 
 
 def elementary_divisors(M):
@@ -734,7 +751,7 @@ def solve_matrix(A, B):
     if A.ring != B.ring or A.nrows != B.nrows:
         raise ValueError("incompatible shapes for solve")
     if A.ring == ZZ:
-        res = snf(A)
+        res = _snf(A, U=True, V=True)
         rhs = res.U @ B
         diag = [res.S.entry(i, i) for i in range(min(A.nrows, A.ncols))]
         yrows = [{} for _ in range(A.ncols)]

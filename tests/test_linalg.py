@@ -874,6 +874,110 @@ def test_elementary_divisors_match_old_on_dense_and_planted():
         assert divs == [d for d in old_snf(M).divisors() if d]
 
 
+# ---------------------------------------------------------------------------
+# Smith transforms on request: each Z caller against the full `snf`
+#
+# The old_* functions are the Z branches of kernel_basis, image_basis,
+# solve_matrix and fi_coker's quotient maps as they stood when they read a
+# full `snf`.
+
+
+def old_kernel_basis_z(M):
+    res = snf(M)
+    r = len([d for d in res.divisors() if d])
+    return [res.V.column(j) for j in range(r, M.ncols)]
+
+
+def old_image_basis_z(M):
+    res = snf(M)
+    ds = [d for d in res.divisors() if d]
+    rows = [{} for _ in range(M.nrows)]
+    for i, d in enumerate(ds):
+        for k, v in enumerate(res.U_inv.column(i)):
+            if v:
+                rows[k][i] = d * v
+    return Matrix(ZZ, M.nrows, len(ds), rows)
+
+
+def old_solve_z(A, B):
+    res = snf(A)
+    rhs = res.U @ B
+    diag = [res.S.entry(i, i) for i in range(min(A.nrows, A.ncols))]
+    yrows = [{} for _ in range(A.ncols)]
+    for i in range(A.nrows):
+        d = diag[i] if i < len(diag) else 0
+        for j, v in rhs.rows[i].items():
+            if not d or v % d:
+                return None
+            yrows[i][j] = v // d
+    return res.V @ Matrix(ZZ, A.ncols, B.ncols, yrows)
+
+
+def old_coker_maps_z(M):
+    """fi_coker's (projection, lift) at one level, or None on torsion."""
+    res = snf(M)
+    ds = [d for d in res.divisors() if d]
+    if any(d != 1 for d in ds):
+        return None
+    r, d = len(ds), M.nrows
+    return (Matrix(ZZ, d - r, d, res.U.rows[r:]),
+            Matrix(ZZ, d, d - r, [{j - r: v for j, v in row.items() if j >= r}
+                                  for row in res.U_inv.rows]))
+
+
+def test_snf_builds_only_the_transforms_asked_for():
+    import itertools
+
+    names = ("U", "U_inv", "V", "V_inv")
+    for M in SMITH_DIFF[:12]:
+        full = snf(M)
+        for want in itertools.product((False, True), repeat=4):
+            res = linalg._snf(M, *want)
+            assert res.S == full.S
+            for name, w in zip(names, want):
+                assert getattr(res, name) == (getattr(full, name) if w else None)
+
+
+def test_z_callers_of_the_smith_form_match_the_full_snf(monkeypatch):
+    import random
+
+    from fihom import fimodule
+    from fihom.fimodule import CokernelTorsionError, FIModule, FIMorphism, fi_coker
+
+    got = []
+    build = fimodule._quotient_module
+
+    def capture(W, quots, name=""):
+        got.append(quots[0])
+        return build(W, quots, name)
+
+    monkeypatch.setattr(fimodule, "_quotient_module", capture)
+    rng = random.Random("smith-callers")
+    unsolvable = cokernels = 0
+    for M in SMITH_DIFF:
+        assert kernel_basis(M) == old_kernel_basis_z(M)
+        assert image_basis(M) == old_image_basis_z(M)
+        X = zmat([[rng.randint(-3, 3) for _ in range(3)] for _ in range(M.ncols)])
+        B = M @ X
+        assert solve_matrix(M, B) == old_solve_z(M, B)
+        assert M @ solve_matrix(M, B) == B
+        junk = zmat([[rng.randint(-3, 3) for _ in range(2)] for _ in range(M.nrows)])
+        assert solve_matrix(M, junk) == old_solve_z(M, junk)
+        unsolvable += solve_matrix(M, junk) is None
+        # fi_coker at truncation 0 is the cokernel of the one level map M
+        src, tgt = (FIModule(ZZ, 0, (k,), (), ((),)) for k in (M.ncols, M.nrows))
+        want = old_coker_maps_z(M)
+        if want is None:
+            with pytest.raises(CokernelTorsionError):
+                fi_coker(FIMorphism(src, tgt, (M,)))
+            continue
+        got.clear()
+        fi_coker(FIMorphism(src, tgt, (M,)))
+        assert got == [want]
+        cokernels += 1
+    assert unsolvable > 5 and cokernels > 5
+
+
 # old_divisors_mod is elementary_divisors as it stood before the dense
 # residue went through `_smith`: a Bareiss loop with full pivoting gave the
 # rank r and a nonzero r x r minor D, and the divisors were read off a
