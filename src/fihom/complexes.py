@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .fimodule import (
-    FIModule, _quotient_module, shift_module, truncate, validate,
+    FIModule, _Injections, _quotient_module, shift_module, truncate, validate,
     validate_morphism, zero_module,
 )
 from .homology import (
@@ -127,12 +127,13 @@ class TotalComplexAt(_ChainComplex):
         return self.sizes.get(m, 0)
 
 
-def hyper_total_complex(W: FIComplex, n, top=None) -> TotalComplexAt:
+def hyper_total_complex(W: FIComplex, n, top=None, evs=None) -> TotalComplexAt:
     """T_m = (+)_{p+q=m} S_p(W_q) with D = d_cube + (-1)^p del, built by
     `_cube_total` in one pass; its one D^2 check covers each cube d^2.
-    With `top`, only the total degrees m <= top are built."""
+    With `top`, only the total degrees m <= top are built.  `evs` holds
+    one `_Injections` per module, kept by a caller that walks the levels."""
     sizes, D, _ = _cube_total(n, W.q_min, W.modules, W.diff_level,
-                              "D^2 != 0 at total degree %d (bug)", top)
+                              "D^2 != 0 at total degree %d (bug)", top, evs)
     return TotalComplexAt(n, W.q_min, max(sizes), sizes, D, W.ring, top)
 
 
@@ -145,13 +146,14 @@ def hyper_degrees(W: FIComplex, krange) -> DegreeProfile:
 
     Each level is built through total degree max(k_hi + 1, q_max + 2)
     only, which reads every H_k asked for and keeps every D^2 relation
-    checked by the ascending walk (see `_cube_total`).
+    checked by the ascending walk (see `_cube_total`).  The walk keeps one
+    evaluator per module, so each face matrix is built once.
     """
     k_lo, k_hi = krange
     if k_lo > k_hi:
         raise ValueError("empty degree range %d..%d" % (k_lo, k_hi))
-    top = max(k_hi + 1, W.q_max + 2)
-    return _degree_profile(lambda n: hyper_total_complex(W, n, top),
+    top, evs = max(k_hi + 1, W.q_max + 2), tuple(map(_Injections, W.modules))
+    return _degree_profile(lambda n: hyper_total_complex(W, n, top, evs),
                            W.truncation, range(k_lo, k_hi + 1))
 
 

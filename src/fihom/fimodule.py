@@ -269,15 +269,18 @@ def induced_injection_matrix(V, f, a=None, b=None):
     return _Injections(V)(f, b)
 
 
-def face_matrices(V, k):
+def face_matrices(V, k, ev=None):
     """[V(delta_0), ..., V(delta_k)] where delta_pos: k_ -> k+1_ skips pos.
 
     delta_pos = s_{pos+1} o delta_{pos+1}, so one evaluator builds the
     list with one product per face below the top face delta_k = iota.
+    `ev` is an `_Injections(V)` that the caller keeps, so that a walk over
+    levels builds each face once; a fresh one by default.
     """
     if k + 1 > V.truncation:
         raise ValueError("faces at level %d exceed truncation" % (k + 1))
-    ev = _Injections(V)
+    if ev is None:
+        ev = _Injections(V)
     return [ev(_face(k, pos), k + 1) for pos in range(k + 1)]
 
 

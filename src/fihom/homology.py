@@ -37,11 +37,33 @@ class _ChainComplex:
     Both subclasses (`FIHComplexAt`, `TotalComplexAt`) are read out of the
     one builder `_cube_total`, which runs that check.  A subclass supplies
     size(m), the ring as `_ring` and `_diff(m)`, the stored differential
-    C_m -> C_{m-1} or None where there is none.  The invariants of each
+    D_m: C_m -> C_{m-1} or None where there is none.  The invariants of each
     differential are computed once per object and cached: over Z the
     elementary divisors of the map into C_m, over Q its rank.  The rank of
     the map out of C_m is the count of its divisors once they are known, so
     a sweep in ascending m eliminates each map once.
+
+    Each elimination also keeps its pivot columns.  When D_m has already
+    been eliminated, D_{m+1} is eliminated only on the rows of C_m that are
+    not pivot columns P of D_m, which cuts its rows to dim ker D_m.  This
+    rests on D_m @ D_{m+1} = 0, so the d^2 check of `_cube_total` on every
+    pair it builds is load-bearing here, not only a guard.
+      - Over Q (and for the rank over Z), P is a set of independent columns
+        of D_m, so ker D_m meets span(e_P) in 0.  im D_{m+1} lies in
+        ker D_m, so leaving out the P rows keeps the rank.
+      - Over Z, P must be the pivots of the unit peel of
+        `elementary_divisors`: then E @ D_m has a unimodular P-minor for
+        some unimodular E, so on ker D_m the P coordinates are an integral
+        function of the others, and a unimodular change of basis of C_m
+        sends D_{m+1} to [0; D_{m+1} without the P rows].  The elementary
+        divisors are unchanged.
+      - Pivots of `rank`'s mixed elimination, or of the dense Smith
+        residue, never drop rows for the divisors.  With D_m = [[2, 3]] and
+        D_{m+1} = [[3], [-2]], H_m = 0, but dropping row 0 by the non-unit
+        pivot 2 would leave [[-2]] and report Z/2.
+    Leaving out rows keeps ker D_{m+1}, so pivots found on the shortened
+    D_{m+1} are valid in turn for D_{m+2}.  Pivots are used only when the
+    map below was eliminated anyway, so the results agree in any order.
 
     A complex built with a degree window (`top` not None) holds C_m and
     C_m -> C_{m-1} only for m <= top.  Reading size, differential or
@@ -52,6 +74,8 @@ class _ChainComplex:
     def __post_init__(self):
         object.__setattr__(self, "_ranks", {})
         object.__setattr__(self, "_divs", {})
+        object.__setattr__(self, "_pivots", {})   # m -> `rank` pivots of D_m
+        object.__setattr__(self, "_units", {})    # m -> unit-peel pivots of D_m
 
     def _window(self, m):
         """Raise ValueError if degree m lies above the window built."""
@@ -70,16 +94,24 @@ class _ChainComplex:
         return Matrix.zeros(self._ring, self.size(m), 0) if d is None else d
 
     def _rank(self, m):
-        """rank D_m: the length of its divisors when known, else `rank`."""
+        """rank D_m: the length of its divisors when known, else `rank` on
+        the rows left by any known pivots of D_{m-1}."""
         if m in self._divs:
             return len(self._divs[m])
         if m not in self._ranks:
-            self._ranks[m] = rank(self.boundary_out(m))
+            below = self._pivots.get(m - 1) or self._units.get(m - 1, ())
+            self._ranks[m], piv = rank(self.boundary_out(m), skip=below,
+                                       pivots=True)
+            self._pivots[m] = set(piv)
         return self._ranks[m]
 
     def _divisors(self, m):
+        """Elementary divisors of D_m, on the rows left by the unit-peel
+        pivots of D_{m-1} when those are known."""
         if m not in self._divs:
-            self._divs[m] = elementary_divisors(self.boundary_out(m))
+            self._divs[m], piv = elementary_divisors(
+                self.boundary_out(m), skip=self._units.get(m - 1, ()), pivots=True)
+            self._units[m] = set(piv)
         return self._divs[m]
 
     def homology(self, m):
@@ -135,10 +167,12 @@ class FIHComplexAt(_ChainComplex):
         return self.sizes[p] if 0 <= p <= self.level else 0
 
 
-def _cube_total(n, q_min, modules, del_at, message, top=None):
+def _cube_total(n, q_min, modules, del_at, message, top=None, evs=None):
     """(sizes, D, offsets): the total complex at level n of a cube bicomplex.
 
     modules[t] is W_{q_min+t} and del_at(q, k) the map W_q(k) -> W_{q-1}(k).
+    evs[t], when given, is an `_Injections(modules[t])` that the caller
+    keeps across levels, so each face matrix is built once per walk.
     T_m = (+)_{p+q=m} S_p(W_q), q ascending, each S_p in `subset_layout`
     order; offsets[(p, q)][S] is the first row of W_q(S) in T_{p+q}.  Each
     face block (sign (-1)^pos) and del block (sign (-1)^p) is written once
@@ -166,6 +200,8 @@ def _cube_total(n, q_min, modules, del_at, message, top=None):
         raise ValueError("level %d outside truncation %d" % (n, modules[0].truncation))
     q_max = q_min + len(modules) - 1
     hi = q_max + n if top is None else min(top, q_max + n)
+    if evs is None:
+        evs = [_Injections(W) for W in modules]
     sizes, offsets, D = {}, {}, {}
     for m in range(q_min, hi + 1):
         sizes[m] = 0
@@ -177,7 +213,8 @@ def _cube_total(n, q_min, modules, del_at, message, top=None):
         rows = [{} for _ in range(sizes[m - 1])]
         for q in range(max(q_min, m - n), min(q_max, m) + 1):
             p = m - q
-            faces = face_matrices(modules[q - q_min], n - p) if p else ()
+            t = q - q_min
+            faces = face_matrices(modules[t], n - p, evs[t]) if p else ()
             dl = del_at(q, n - p) if q > q_min else None
             face_tgt, del_tgt = offsets.get((p - 1, q)), offsets.get((p, q - 1))
             for S, soff in offsets[(p, q)].items():
@@ -193,13 +230,15 @@ def _cube_total(n, q_min, modules, del_at, message, top=None):
     return sizes, D, offsets
 
 
-def fih_chain_complex(V: FIModule, n, top=None) -> FIHComplexAt:
+def fih_chain_complex(V: FIModule, n, top=None, ev=None) -> FIHComplexAt:
     """Build the cube complex of V at level n and verify d^2 = 0; with
-    `top`, only the degrees p <= top (see `_cube_total`)."""
+    `top`, only the degrees p <= top (see `_cube_total`).  `ev` is an
+    `_Injections(V)` kept by a caller that walks the levels."""
     sizes, D, offsets = _cube_total(
         n, 0, (V,), None,
         "d^2 != 0 at (level %d, degree %%d): structure maps "
-        "violate the FI relations or the sign bookkeeping broke" % n, top)
+        "violate the FI relations or the sign bookkeeping broke" % n, top,
+        None if ev is None else (ev,))
     return FIHComplexAt(V, n, tuple(sizes.values()), tuple(D.values()),
                         tuple(offsets[(p, 0)] for p in sizes), top)
 
@@ -276,15 +315,16 @@ def degrees(V: FIModule, kmax) -> DegreeProfile:
 
     Each level is built through degree max(kmax + 1, 2) only: H_k reads d_k
     and d_{k+1}, and keeping d_2 keeps every d^2 relation checked by the
-    ascending walk (see `_cube_total`).
+    ascending walk (see `_cube_total`).  The walk keeps one evaluator of V,
+    so each face matrix V(delta_pos) is built once, not once per level.
     """
     N = V.truncation
     if kmax < 0:
         raise ValueError("kmax %d is negative" % kmax)
     if kmax > N:
         raise ValueError("kmax %d exceeds truncation %d" % (kmax, N))
-    top = max(kmax + 1, 2)
-    return _degree_profile(lambda n: fih_chain_complex(V, n, top), N,
+    top, ev = max(kmax + 1, 2), _Injections(V)
+    return _degree_profile(lambda n: fih_chain_complex(V, n, top, ev), N,
                            range(kmax + 1))
 
 

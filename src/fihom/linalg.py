@@ -275,15 +275,16 @@ def block_matrix(ring, row_dims, col_dims, blocks):
 # rank
 
 
-def _int_rows(M):
-    """Sparse integer rows {i: row}, row i of M scaled, zero rows left out.
+def _int_rows(M, skip=()):
+    """Sparse integer rows {i: row}, row i of M scaled, zero rows and the
+    rows whose index is in `skip` left out.
 
     Rational rows are cleared by their denominator lcm and every row is
     divided by its content; row scalings keep the rank and the RREF.
     """
     out = {}
     for i, r in enumerate(M.rows):
-        if not r:
+        if not r or i in skip:
             continue
         if M.ring == QQ:
             mult = lcm(*(v.denominator for v in r.values()))
@@ -361,11 +362,11 @@ def _eliminate(rows, units_only):
     that row alone, so each is one unit elementary divisor.  Unless
     `units_only`, an empty queue takes a non-unit pivot (shortest row,
     smallest entry), which keeps the rank, not the divisors.  Returns
-    (pivot count, residue rows).
+    (pivot columns in the order taken, residue rows).
     """
     cols = _column_index(rows)
     queue = [(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)]
-    count = 0
+    pivots = []
     while True:
         if queue:
             pi, pj = queue.pop()
@@ -377,17 +378,23 @@ def _eliminate(rows, units_only):
             r = rows[pi]
             pj = min(r, key=lambda j: abs(r[j]))
         else:
-            return count, rows
+            return pivots, rows
         _clear(rows, cols, pi, pj, queue)
         for j in r:
             cols[j].discard(pi)
         del rows[pi]
-        count += 1
+        pivots.append(pj)
 
 
-def rank(M):
-    """Rank of M, by sparse fraction-free elimination."""
-    return _eliminate(_int_rows(M), False)[0]
+def rank(M, skip=(), pivots=False):
+    """Rank of M, by sparse fraction-free elimination.
+
+    The rows whose index is in `skip` (a set) are left out.  With `pivots`,
+    returns (rank, pivot columns): as many columns of M as the rank,
+    independent over Q.
+    """
+    piv = _eliminate(_int_rows(M, skip), False)[0]
+    return (len(piv), piv) if pivots else len(piv)
 
 
 # ---------------------------------------------------------------------------
@@ -674,28 +681,35 @@ def snf(M):
     return _snf(M, True, True, True, True)
 
 
-def elementary_divisors(M):
+def elementary_divisors(M, skip=(), pivots=False):
     """Nonzero diagonal of the Smith form of M, without transforms.
 
     Unit pivots are peeled off sparsely first (`_eliminate` in unit mode,
     one unit divisor each).  The dense residue goes through `_smith`, the
     engine of `snf`, with empty transform rows, so it takes the same steps
     as in `snf` and no transform is built.
+
+    The rows whose index is in `skip` (a set) are left out.  With `pivots`,
+    returns (divisors, pivot columns of the unit peel only): for some
+    unimodular E, the minor of E @ M on those columns and the peeled rows
+    is unimodular.  The residue's pivots are never reported.
     """
     if M.ring != ZZ:
         raise ValueError("elementary divisors need a Z matrix")
-    ones, rows = _eliminate({i: dict(r) for i, r in enumerate(M.rows) if r}, True)
-    if not rows:
-        return [1] * ones
-    live_cols = sorted({j for r in rows.values() for j in r})
-    cindex = {j: k for k, j in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in rows]
-    for k, r in enumerate(rows.values()):
-        for j, v in r.items():
-            dense[k][cindex[j]] = v
-    A = _smith(dense, len(live_cols), [[] for _ in dense], [[] for _ in dense],
-               [[] for _ in live_cols], [[] for _ in live_cols])[0]
-    return [1] * ones + [A[i][i] for i in range(min(len(A), len(live_cols))) if A[i][i]]
+    piv, rows = _eliminate(
+        {i: dict(r) for i, r in enumerate(M.rows) if r and i not in skip}, True)
+    divs = [1] * len(piv)
+    if rows:
+        live_cols = sorted({j for r in rows.values() for j in r})
+        cindex = {j: k for k, j in enumerate(live_cols)}
+        dense = [[0] * len(live_cols) for _ in rows]
+        for k, r in enumerate(rows.values()):
+            for j, v in r.items():
+                dense[k][cindex[j]] = v
+        A = _smith(dense, len(live_cols), [[] for _ in dense], [[] for _ in dense],
+                   [[] for _ in live_cols], [[] for _ in live_cols])[0]
+        divs += [A[i][i] for i in range(min(len(A), len(live_cols))) if A[i][i]]
+    return (divs, piv) if pivots else divs
 
 
 def _bareiss(A):

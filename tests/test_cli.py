@@ -495,3 +495,24 @@ def test_gen_matches_the_golden_output(capsys):
                 assert code == EXIT_OK
                 out.append(text)
     assert "".join(out).encode() == GEN_GOLDEN.read_bytes()
+
+
+def test_degrees_match_the_golden_output(capsys, monkeypatch, tmp_path):
+    """`fihom degrees FILE --kmax K` under kv for K = 0..3, on the files of
+    `fihom gen --kind coker --trunc 5` and then `fihom gen --kind free`,
+    ring Z then Q, seeds 0..3, concatenated."""
+    out = []
+    for kind in ("coker", "free"):
+        for ring in ("Z", "Q"):
+            for seed in range(4):
+                path = tmp_path / ("%s-%s-%d.fim" % (kind, ring, seed))
+                argv = ["gen", "--kind", kind, "--seed", str(seed), "--ring", ring,
+                        "-o", str(path)]
+                code, _, _ = run(capsys, argv + (["--trunc", "5"] if kind == "coker" else []))
+                assert code == EXIT_OK
+                for kmax in range(4):
+                    code, text, _ = run(capsys, ["degrees", str(path), "--kmax", str(kmax)],
+                                        env={"FIHOM_FORMAT": "kv"}, monkeypatch=monkeypatch)
+                    assert code == EXIT_OK
+                    out.append(text)
+    assert "".join(out).encode() == (DATA / "degrees-golden.kv").read_bytes()

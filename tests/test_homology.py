@@ -188,18 +188,23 @@ def test_homology_sweep_multiplies_no_matrices(monkeypatch):
 def test_homology_sweep_eliminates_each_differential_once(monkeypatch, order):
     import fihom.homology as homology_module
 
-    calls = []   # (kind, matrix); the matrices are kept alive, so ids stay unique
+    # (kind, matrix, rows handed, pivots returned); the matrices are kept
+    # alive, so ids stay unique
+    calls = []
 
     def spy(kind, fn):
-        def wrapped(M):
-            calls.append((kind, M))
-            return fn(M)
+        def wrapped(M, **kw):
+            out = fn(M, **kw)
+            calls.append((kind, M, M.nrows - len(kw.get("skip", ())),
+                          out[1] if kw.get("pivots") else None))
+            return out
         return wrapped
 
     monkeypatch.setattr(homology_module, "rank",
                         spy("rank", homology_module.rank))
     monkeypatch.setattr(homology_module, "elementary_divisors",
                         spy("divisors", homology_module.elementary_divisors))
+    dropped = 0
     for build, degs in built_complexes():
         C = build()
         stored = C.d if hasattr(C, "d") else tuple(C.D.values())
@@ -208,12 +213,22 @@ def test_homology_sweep_eliminates_each_differential_once(monkeypatch, order):
         for m in in_order(degs, order):
             C.homology(m)
         # a zero map that is not stored has one shape per kind in a sweep
-        keys = [(kind, index.get(id(M), M.shape)) for kind, M in calls]
+        keys = [(kind, index.get(id(M), M.shape)) for kind, M, _, _ in calls]
         assert len(keys) == len(set(keys))
         if order == "ascending":
             # rank comes from cached divisors: one elimination per map
             differentials = [key for _, key in keys]
             assert len(differentials) == len(set(differentials))
+            # each stored D_{m+1} is handed the size(m) - |pivots of D_m|
+            # rows that the map below it leaves (stored[i - 1] is D_m)
+            pivots = {index.get(id(M)): piv for _, M, _, piv in calls}
+            for _, M, handed, _ in calls:
+                i = index.get(id(M))
+                if i is not None:
+                    assert handed == M.nrows - len(pivots.get(i - 1, ()))
+                    dropped += M.nrows - handed
+    if order == "ascending":
+        assert dropped > 0
 
 
 def rank_mod_p(M, p):
