@@ -10,15 +10,14 @@ as negatively graded chain complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .fimodule import (
     FIModule, _Injections, _quotient_module, shift_module, truncate, validate,
     validate_morphism, zero_module,
 )
 from .homology import (
-    DegreeProfile, _ChainComplex, _cube_total, _degree_profile,
+    DegreeProfile, _ChainComplex, _Cube, _degree_profile, _differentials,
     fih_chain_complex,
 )
 from .linalg import (
@@ -99,42 +98,39 @@ def validate_complex(W: FIComplex):
 # the total complex
 
 
-@dataclass(frozen=True)
 class TotalComplexAt(_ChainComplex):
     """Total complex of the cube bicomplex of an FIComplex at one level:
     sizes[m] = dim T_m (m_min <= m <= m_max) and D[m]: T_m -> T_{m-1}
-    (m_min < m <= m_max) as laid out and D^2-checked by `_cube_total`.
-    With a degree window `top`, m_max is at most top."""
+    (m_min < m <= m_max) as laid out by `_Cube` and D^2-checked by
+    `_differentials`.  With a degree window `top`, m_max is at most top."""
 
-    level: int
-    m_min: int
-    m_max: int
-    sizes: dict                      # m -> dim T_m
-    D: dict = field(repr=False)      # m -> matrix T_m -> T_{m-1}
-    ring: str = "Z"
-    top: Optional[int] = None
+    def __init__(self, level, m_min, m_max, sizes, D, ring="Z", top=None,
+                 cube=None, spare=None):
+        self.level, self.m_min, self.m_max, self.ring = level, m_min, m_max, ring
+        super().__init__(ring, sizes, D, top, cube, spare)
 
     @property
-    def _ring(self):
-        return self.ring
+    def sizes(self):
+        """m -> dim T_m."""
+        return self._sizes
 
-    def _diff(self, m):
-        self._window(m)
-        return self.D.get(m)
-
-    def size(self, m):
-        self._window(m)
-        return self.sizes.get(m, 0)
+    @property
+    def D(self):
+        """m -> the matrix T_m -> T_{m-1}."""
+        return {m: d for m in self._sizes if (d := self._diff(m)) is not None}
 
 
 def hyper_total_complex(W: FIComplex, n, top=None, evs=None) -> TotalComplexAt:
-    """T_m = (+)_{p+q=m} S_p(W_q) with D = d_cube + (-1)^p del, built by
-    `_cube_total` in one pass; its one D^2 check covers each cube d^2.
-    With `top`, only the total degrees m <= top are built.  `evs` holds
-    one `_Injections` per module, kept by a caller that walks the levels."""
-    sizes, D, _ = _cube_total(n, W.q_min, W.modules, W.diff_level,
-                              "D^2 != 0 at total degree %d (bug)", top, evs)
-    return TotalComplexAt(n, W.q_min, max(sizes), sizes, D, W.ring, top)
+    """T_m = (+)_{p+q=m} S_p(W_q) with D = d_cube + (-1)^p del, laid out by
+    `_Cube` and built in one pass; its one D^2 check covers each cube d^2.
+    With `top`, a level of a walk: only the total degrees m <= top, the
+    pairs through q_max + 2 checked, the rest written on request (see
+    `_differentials`).  `evs` holds one `_Injections` per module, kept by
+    a caller that walks the levels."""
+    cube = _Cube(n, W.q_min, W.modules, W.diff_level, top, evs)
+    held, spare = _differentials(cube, top, "D^2 != 0 at total degree %d (bug)")
+    return TotalComplexAt(n, W.q_min, max(cube.sizes), cube.sizes, held, W.ring,
+                          top, None if top is None else cube, spare)
 
 
 def hyper_group(W: FIComplex, n, m) -> AbelianClass:
@@ -144,10 +140,12 @@ def hyper_group(W: FIComplex, n, m) -> AbelianClass:
 def hyper_degrees(W: FIComplex, krange) -> DegreeProfile:
     """t_k over k in krange = (k_lo, k_hi): top level with H_k(Tot) != 0.
 
-    Each level is built through total degree max(k_hi + 1, q_max + 2)
-    only, which reads every H_k asked for and keeps every D^2 relation
-    checked by the ascending walk (see `_cube_total`).  The walk keeps one
-    evaluator per module, so each face matrix is built once.
+    Each level is laid out through total degree max(k_hi + 1, q_max + 2)
+    only, which reads every H_k asked for; the pairs through q_max + 2 are
+    multiplied, which checks every D^2 relation in the ascending walk, and
+    each higher D_m is written only on the rows compression keeps (see
+    `_differentials`).  The walk keeps one evaluator per module, so each
+    face matrix is built once.
     """
     k_lo, k_hi = krange
     if k_lo > k_hi:

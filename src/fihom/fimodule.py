@@ -533,21 +533,26 @@ def fi_coker(f: FIMorphism) -> FIModule:
         quots = [QuotientCoords(f.levels[n], Matrix.zeros(QQ, 0, W.dims[n]))
                  for n in range(N + 1)]
         return _quotient_module(W, [(q.proj, q.lift) for q in quots])
-    # Z case: coker Z^d / im f = U^-1 (Z^d / im S); torsion free iff all d_i = 1,
-    # and then rows r.. of U project onto it and columns r.. of U^-1 lift it
-    quots = []
-    for n in range(N + 1):
-        res = _snf(f.levels[n], U=True, U_inv=True)
-        ds = [d for d in res.divisors() if d]
-        if any(d != 1 for d in ds):
-            raise CokernelTorsionError(
-                "level %d cokernel has torsion %s" % (n, [d for d in ds if d != 1]))
-        r, d = len(ds), W.dims[n]
-        quots.append((
-            Matrix(ZZ, d - r, d, res.U.rows[r:]),
+    return _quotient_module(W, [_z_coker_level(L, n) for n, L in enumerate(f.levels)])
+
+
+def _z_coker_level(L, n):
+    """(proj, lift) of the cokernel of the Z map L at level n, or
+    CokernelTorsionError when it has torsion.
+
+    coker Z^d / im L = U^-1 (Z^d / im S): torsion free iff all nonzero
+    divisors are 1, and then rows r.. of U project onto it and columns
+    r.. of U^-1 lift it.
+    """
+    res = _snf(L, U=True, U_inv=True)
+    ds = [d for d in res.divisors() if d]
+    if any(d != 1 for d in ds):
+        raise CokernelTorsionError(
+            "level %d cokernel has torsion %s" % (n, [d for d in ds if d != 1]))
+    r, d = len(ds), L.nrows
+    return (Matrix(ZZ, d - r, d, res.U.rows[r:]),
             Matrix(ZZ, d, d - r, [{j - r: v for j, v in row.items() if j >= r}
-                                  for row in res.U_inv.rows])))
-    return _quotient_module(W, quots)
+                                  for row in res.U_inv.rows]))
 
 
 def free_morphism(sources, target: FIModule, images) -> FIMorphism:
@@ -558,13 +563,21 @@ def free_morphism(sources, target: FIModule, images) -> FIMorphism:
     the basis vector (S, g) of M(m_i)(n_) goes to target(f)(images[i])
     for the injection f = ord_S o g.
     """
-    ring = target.ring
-    N = target.truncation
-    src = direct_sum(*[representable(m, N, ring) for m in sources]) \
+    return FIMorphism(_free_sum(sources, target),
+                      target, tuple(_free_morphism_levels(sources, target, images)))
+
+
+def _free_sum(sources, target):
+    """(+) M(m_i) over the target's ring and truncation."""
+    ring, N = target.ring, target.truncation
+    return direct_sum(*[representable(m, N, ring) for m in sources]) \
         if sources else zero_module(N, ring)
+
+
+def _free_morphism_levels(sources, target, images):
+    """The levels n = 0, 1, ... of `free_morphism`, each built when drawn."""
     ev = _Injections(target)
-    levels = []
-    for n in range(N + 1):
+    for n in range(target.truncation + 1):
         cols = []
         for m, vec in zip(sources, images):
             if len(vec) != target.dims[m]:
@@ -576,8 +589,25 @@ def free_morphism(sources, target: FIModule, images) -> FIMorphism:
             for i, v in enumerate(col):
                 if v:
                     rows[i][c] = v
-        levels.append(Matrix(ring, target.dims[n], len(cols), rows))
-    return FIMorphism(src, target, tuple(levels))
+        yield Matrix(target.ring, target.dims[n], len(cols), rows)
+
+
+def _free_coker(sources, target: FIModule, images):
+    """(f, fi_coker(f)) for f = free_morphism(sources, target, images).
+
+    Over Z each level of f is Smith-checked as soon as it is built, so a
+    torsion cokernel raises CokernelTorsionError at its first torsion
+    level, before the levels above it and the source module are built.
+    """
+    if target.ring == QQ:
+        f = free_morphism(sources, target, images)
+        return f, fi_coker(f)
+    levels, quots = [], []
+    for n, L in enumerate(_free_morphism_levels(sources, target, images)):
+        quots.append(_z_coker_level(L, n))
+        levels.append(L)
+    f = FIMorphism(_free_sum(sources, target), target, tuple(levels))
+    return f, _quotient_module(target, quots)
 
 
 # ---------------------------------------------------------------------------

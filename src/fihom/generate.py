@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .fimodule import (
-    FBData, FIModule, FIMorphism, direct_sum, fi_coker, free_fi_module,
+    FBData, FIModule, FIMorphism, _free_coker, direct_sum, free_fi_module,
     free_morphism, representable, CokernelTorsionError,
 )
 from .complexes import FIComplex, complex_from_morphisms
@@ -163,9 +163,8 @@ def gen_coker(seed, ring=QQ, trunc=5, max_card=2, max_gens=3, retries=4) -> Coke
         images = []
         for m in cards:
             images.append([_entry(rng) for _ in range(target.dims[m])])
-        f = free_morphism(cards, target, images)
         try:
-            C = fi_coker(f)
+            f, C = _free_coker(cards, target, images)
         except CokernelTorsionError:
             continue
         return CokerInstance(C, f, tuple(cards), X, attempt_ring,

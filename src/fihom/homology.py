@@ -12,7 +12,7 @@ mapping in, the generators-in-degree-n obstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .fimodule import (
@@ -21,8 +21,8 @@ from .fimodule import (
     shift_module,
 )
 from .linalg import (
-    AbelianClass, Matrix, QQ, _abelian_class, _put_block,
-    elementary_divisors, image_basis, rank, solve_matrix,
+    AbelianClass, Matrix, QQ, _abelian_class, _divisors_of, _put_block,
+    _rank_of, elementary_divisors, image_basis, rank, solve_matrix,
 )
 
 
@@ -32,22 +32,24 @@ def subset_layout(V, n, size):
 
 
 class _ChainComplex:
-    """Homology of a chain complex whose d^2 = 0 was checked when it was built.
+    """Homology of a chain complex C_m with differentials D_m: C_m -> C_{m-1}.
 
-    Both subclasses (`FIHComplexAt`, `TotalComplexAt`) are read out of the
-    one builder `_cube_total`, which runs that check.  A subclass supplies
-    size(m), the ring as `_ring` and `_diff(m)`, the stored differential
-    D_m: C_m -> C_{m-1} or None where there is none.  The invariants of each
-    differential are computed once per object and cached: over Z the
-    elementary divisors of the map into C_m, over Q its rank.  The rank of
-    the map out of C_m is the count of its divisors once they are known, so
-    a sweep in ascending m eliminates each map once.
+    `sizes` maps m to dim C_m and `held` m to the D_m stored whole.  Both
+    subclasses (`FIHComplexAt`, `TotalComplexAt`) are read out of one
+    `_Cube` layout by `_differentials`, which runs the d^2 check.  The
+    invariants of each differential are computed once per object and
+    cached: over Z the elementary divisors of the map into C_m, over Q its
+    rank.  The rank of the map out of C_m is the count of its divisors once
+    they are known, so a sweep in ascending m eliminates each map once.
 
     Each elimination also keeps its pivot columns.  When D_m has already
     been eliminated, D_{m+1} is eliminated only on the rows of C_m that are
     not pivot columns P of D_m, which cuts its rows to dim ker D_m.  This
-    rests on D_m @ D_{m+1} = 0, so the d^2 check of `_cube_total` on every
-    pair it builds is load-bearing here, not only a guard.
+    rests on D_m @ D_{m+1} = 0.  A whole build multiplies every pair; a
+    level of the degree walk multiplies only the pairs through total degree
+    q_max + 2 ((d_1, d_2) for a cube complex), which, the levels below it
+    having passed, proves D_m @ D_{m+1} = 0 in every degree it reads (see
+    `_differentials`).
       - Over Q (and for the rank over Z), P is a set of independent columns
         of D_m, so ker D_m meets span(e_P) in 0.  im D_{m+1} lies in
         ker D_m, so leaving out the P rows keeps the rank.
@@ -65,23 +67,48 @@ class _ChainComplex:
     D_{m+1} are valid in turn for D_{m+2}.  Pivots are used only when the
     map below was eliminated anyway, so the results agree in any order.
 
-    A complex built with a degree window (`top` not None) holds C_m and
-    C_m -> C_{m-1} only for m <= top.  Reading size, differential or
-    boundary_out above top, or boundary_in or homology at top or above,
-    raises ValueError: the missing map is not a zero map.
+    A complex built with a degree window (`top` not None) is one level of
+    an ascending walk and has C_m and D_m only for m <= top.  Reading
+    size, differential or boundary_out above top, or boundary_in or
+    homology at top or above, raises ValueError: the missing map is not a
+    zero map.  It holds no differential: each is written when it is first
+    eliminated, on the rows the pivots below it leave, and the elimination
+    consumes it; a public read (`differential`, `d`, `D`, the boundaries)
+    writes D_m whole, each time.
     """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_ranks", {})
-        object.__setattr__(self, "_divs", {})
-        object.__setattr__(self, "_pivots", {})   # m -> `rank` pivots of D_m
-        object.__setattr__(self, "_units", {})    # m -> unit-peel pivots of D_m
+    def __init__(self, ring, sizes, held, top=None, cube=None, spare=None):
+        self._ring = ring
+        self._sizes = sizes       # m -> dim C_m
+        self._held = held         # m -> D_m, whole
+        self.top = top
+        self._cube = cube         # a window's layout, which writes its D_m
+        self._spare = spare or {}  # m -> D_m built for its d^2 check only
+        self._ranks, self._divs = {}, {}
+        self._pivots = {}   # m -> `rank` pivots of D_m
+        self._units = {}    # m -> unit-peel pivots of D_m
 
     def _window(self, m):
         """Raise ValueError if degree m lies above the window built."""
         if self.top is not None and m > self.top:
             raise ValueError("degree %d above the window built up to degree %d"
                              % (m, self.top))
+
+    def _on_request(self, m):
+        """Whether D_m exists and the cube writes it on each request."""
+        return self._cube is not None and m - 1 in self._sizes and m in self._sizes
+
+    def _diff(self, m):
+        """D_m whole (written now if the cube writes it), or None."""
+        self._window(m)
+        if self._on_request(m):
+            return Matrix(self._ring, self._sizes[m - 1], self._sizes[m],
+                          _cube_total(self._cube, m))
+        return self._held.get(m)
+
+    def size(self, m):
+        self._window(m)
+        return self._sizes.get(m, 0)
 
     def boundary_out(self, m):
         """The map out of C_m (a 0-row zero matrix where there is none)."""
@@ -93,6 +120,19 @@ class _ChainComplex:
         d = self._diff(m + 1)
         return Matrix.zeros(self._ring, self.size(m), 0) if d is None else d
 
+    def _reduce(self, m, skip, public, private):
+        """(invariant, pivots) of D_m on the rows outside `skip`.
+
+        A held D_m (or a zero map) goes to `public`, which copies its rows.
+        One built on request goes to `private`, which consumes the rows:
+        those of its d^2-check spare, or the kept rows written now.
+        """
+        if not self._on_request(m):
+            return public(self.boundary_out(m), skip=skip, pivots=True)
+        spare = self._spare.pop(m, None)
+        rows = _cube_total(self._cube, m, skip) if spare is None else spare.rows
+        return private({i: r for i, r in enumerate(rows) if r and i not in skip})
+
     def _rank(self, m):
         """rank D_m: the length of its divisors when known, else `rank` on
         the rows left by any known pivots of D_{m-1}."""
@@ -100,8 +140,7 @@ class _ChainComplex:
             return len(self._divs[m])
         if m not in self._ranks:
             below = self._pivots.get(m - 1) or self._units.get(m - 1, ())
-            self._ranks[m], piv = rank(self.boundary_out(m), skip=below,
-                                       pivots=True)
+            self._ranks[m], piv = self._reduce(m, below, rank, _rank_of)
             self._pivots[m] = set(piv)
         return self._ranks[m]
 
@@ -109,8 +148,8 @@ class _ChainComplex:
         """Elementary divisors of D_m, on the rows left by the unit-peel
         pivots of D_{m-1} when those are known."""
         if m not in self._divs:
-            self._divs[m], piv = elementary_divisors(
-                self.boundary_out(m), skip=self._units.get(m - 1, ()), pivots=True)
+            self._divs[m], piv = self._reduce(
+                m, self._units.get(m - 1, ()), elementary_divisors, _divisors_of)
             self._units[m] = set(piv)
         return self._divs[m]
 
@@ -131,7 +170,6 @@ def _check_square_zero(D, message):
             raise ArithmeticError(message % m)
 
 
-@dataclass(frozen=True)
 class FIHComplexAt(_ChainComplex):
     """fih_chain_complex(V, n): the cube complex of V at level n.
 
@@ -140,107 +178,144 @@ class FIHComplexAt(_ChainComplex):
     p <= top are held.
     """
 
-    module: FIModule
-    level: int
-    sizes: tuple            # dim S_p for p = 0..min(n, top)
-    d: tuple                # d[p-1]: S_p -> S_{p-1}
-    offsets: tuple = field(repr=False, default=())
-    top: Optional[int] = None
+    def __init__(self, module, level, sizes, d, offsets=(), top=None,
+                 cube=None, spare=None):
+        self.module, self.level, self.offsets = module, level, offsets
+        super().__init__(module.ring, dict(enumerate(sizes)),
+                         dict(enumerate(d, 1)), top, cube, spare)
 
     @property
-    def _ring(self):
-        return self.module.ring
+    def sizes(self):
+        """dim S_p for p = 0..min(n, top)."""
+        return tuple(self._sizes.values())
 
-    def _diff(self, p):
-        self._window(p)
-        return self.d[p - 1] if 1 <= p <= self.level else None
+    @property
+    def d(self):
+        """d[p-1]: S_p -> S_{p-1}."""
+        return tuple(self._diff(p) for p in range(1, len(self._sizes)))
 
     def differential(self, p):
         """d_p: S_p -> S_{p-1}."""
         if not (1 <= p <= self.level):
             raise ValueError("no differential d_%d at level %d" % (p, self.level))
-        self._window(p)
-        return self.d[p - 1]
-
-    def size(self, p):
-        self._window(p)
-        return self.sizes[p] if 0 <= p <= self.level else 0
+        return self._diff(p)
 
 
-def _cube_total(n, q_min, modules, del_at, message, top=None, evs=None):
-    """(sizes, D, offsets): the total complex at level n of a cube bicomplex.
+class _Cube:
+    """The total complex at level n of a cube bicomplex, laid out.
 
     modules[t] is W_{q_min+t} and del_at(q, k) the map W_q(k) -> W_{q-1}(k).
     evs[t], when given, is an `_Injections(modules[t])` that the caller
     keeps across levels, so each face matrix is built once per walk.
     T_m = (+)_{p+q=m} S_p(W_q), q ascending, each S_p in `subset_layout`
-    order; offsets[(p, q)][S] is the first row of W_q(S) in T_{p+q}.  Each
-    face block (sign (-1)^pos) and del block (sign (-1)^p) is written once
-    into D[m]: T_m -> T_{m-1}, then D^2 = 0 is checked once, raising
-    ArithmeticError(message % m).  One module gives its cube complex.
+    order: sizes[m] = dim T_m and offsets[(p, q)][S] is the first row of
+    W_q(S) in T_{p+q}, for m <= top when a window `top` is given.
+    `_cube_total` writes the differentials.  One module gives its cube
+    complex.
+    """
 
-    With a degree window `top`, T_m is laid out and D[m] written only for
-    m <= top, and D^2 = 0 is checked on the pairs built.  A walk that
-    builds the levels 0, 1, ..., n in turn, each with top >= q_max + 2,
-    drops no relation of the full check.  The block of D[m-1] @ D[m] from
-    W_q(S) to W_{q-2+|J|}(S u J), with |S| = a and |J| = 0, 1 or 2, reads
-    only the faces and dels of the W's at cardinalities a .. a + |J|, and
-    up to one common sign the signs of its terms depend only on where J
-    sits in S u J.  Each such placement occurs at level a + |J| with S the
-    complement of J, in cube degree p = |J| and total degree
-    q + |J| <= q_max + 2: the face-face blocks in d_1 d_2, the face-del
-    blocks at p = 1 and the del-del blocks at p = 0.  So at the first level
-    where the full build fails, every failing block has p <= 2, and the
-    window fails there in the same first degree, with the same message.
+    def __init__(self, n, q_min, modules, del_at, top=None, evs=None):
+        if n > modules[0].truncation or n < 0:
+            raise ValueError("level %d outside truncation %d"
+                             % (n, modules[0].truncation))
+        self.level, self.q_min, self.modules, self.del_at = n, q_min, modules, del_at
+        self.q_max = q_min + len(modules) - 1
+        self.evs = [_Injections(W) for W in modules] if evs is None else evs
+        hi = self.q_max + n if top is None else min(top, self.q_max + n)
+        self.sizes, self.offsets = {}, {}
+        for m in range(q_min, hi + 1):
+            self.sizes[m] = 0
+            for q in range(max(q_min, m - n), min(self.q_max, m) + 1):
+                layout, dim = subset_layout(modules[q - q_min], n, n - m + q)
+                self.offsets[(m - q, q)] = {S: self.sizes[m] + o
+                                            for S, o in layout.items()}
+                self.sizes[m] += dim
+
+
+def _cube_total(cube, m, skip=()):
+    """The rows of D_m: T_m -> T_{m-1} of the `_Cube` `cube`, as a list.
+
+    Each face block (sign (-1)^pos) and del block (sign (-1)^p) is written
+    once.  The rows whose index is in `skip` are left None, and nothing is
+    written into them.  A whole build multiplies every pair D_{m-1} D_m it
+    writes; a level of the degree walk only those through total degree
+    q_max + 2, which suffices (see `_differentials`).
+    """
+    n, q_min = cube.level, cube.q_min
+    size = cube.sizes[m - 1]
+    rows = ([None if i in skip else {} for i in range(size)] if skip
+            else [{} for _ in range(size)])
+    for q in range(max(q_min, m - n), min(cube.q_max, m) + 1):
+        p = m - q
+        t = q - q_min
+        faces = face_matrices(cube.modules[t], n - p, cube.evs[t]) if p else ()
+        dl = cube.del_at(q, n - p) if q > q_min else None
+        face_tgt = cube.offsets.get((p - 1, q))
+        del_tgt = cube.offsets.get((p, q - 1))
+        for S, soff in cube.offsets[(p, q)].items():
+            for i in range(n):
+                if i not in S:
+                    T = tuple(sorted(S + (i,)))
+                    pos = T.index(i)
+                    _put_block(rows, face_tgt[T], soff, faces[pos], pos % 2 == 1)
+            if dl is not None:
+                _put_block(rows, del_tgt[S], soff, dl, p % 2 == 1)
+    return rows
+
+
+def _differentials(cube, top, message):
+    """(held, spare): the differentials of `cube` read at once, d^2-checked.
+
+    The check raises ArithmeticError(message % m) at the first m with
+    D_{m-1} D_m != 0.  A whole build (top None) builds and holds every D_m
+    and checks every pair.  A window (top not None) is one level of an
+    ascending walk, which builds the levels 0, 1, ..., n in turn: it builds
+    D_m whole only for m <= q_max + 2, checks those pairs (the cube
+    complex's (d_1, d_2)), and returns them as spares for their first
+    elimination to consume; `_ChainComplex` writes the others on request.
+
+    This drops no relation of the full check.  The block of
+    D_{m-1} D_m from W_q(S) to W_{q-2+|J|}(S u J), with |S| = a and
+    |J| = 0, 1 or 2, reads only the faces and dels of the W's at
+    cardinalities a .. a + |J|, and up to one common sign the signs of its
+    terms depend only on where J sits in S u J.  Each such placement
+    occurs at level a + |J| with S the complement of J, in cube degree
+    p = |J| and total degree q + |J| <= q_max + 2: the face-face blocks in
+    d_1 d_2, the face-del blocks at p = 1 and the del-del blocks at p = 0.
+      - So at the first level where the full build fails, every failing
+        block has p <= 2 and total degree <= q_max + 2, and the window fails
+        there in the same first degree, with the same message.
+      - Once levels 0 .. n have passed, every block of every pair at level
+        n recurs in a pair that was multiplied, so D_m D_{m+1} = 0 holds for
+        all m at level n.  That is all the pivot-row compression of
+        `_ChainComplex` needs, so it stays sound on the pairs not
+        multiplied, in any degree the walk reads.
     The argument needs the levels below n checked first, so builders of a
     single level (`fih_group`, the `homology` and `hyper` commands, the
     homology suite, `_matches_free_on`, the shift checks) build it whole.
     """
-    if n > modules[0].truncation or n < 0:
-        raise ValueError("level %d outside truncation %d" % (n, modules[0].truncation))
-    q_max = q_min + len(modules) - 1
-    hi = q_max + n if top is None else min(top, q_max + n)
-    if evs is None:
-        evs = [_Injections(W) for W in modules]
-    sizes, offsets, D = {}, {}, {}
-    for m in range(q_min, hi + 1):
-        sizes[m] = 0
-        for q in range(max(q_min, m - n), min(q_max, m) + 1):
-            layout, dim = subset_layout(modules[q - q_min], n, n - m + q)
-            offsets[(m - q, q)] = {S: sizes[m] + o for S, o in layout.items()}
-            sizes[m] += dim
-    for m in range(q_min + 1, hi + 1):
-        rows = [{} for _ in range(sizes[m - 1])]
-        for q in range(max(q_min, m - n), min(q_max, m) + 1):
-            p = m - q
-            t = q - q_min
-            faces = face_matrices(modules[t], n - p, evs[t]) if p else ()
-            dl = del_at(q, n - p) if q > q_min else None
-            face_tgt, del_tgt = offsets.get((p - 1, q)), offsets.get((p, q - 1))
-            for S, soff in offsets[(p, q)].items():
-                for i in range(n):
-                    if i not in S:
-                        T = tuple(sorted(S + (i,)))
-                        pos = T.index(i)
-                        _put_block(rows, face_tgt[T], soff, faces[pos], pos % 2 == 1)
-                if dl is not None:
-                    _put_block(rows, del_tgt[S], soff, dl, p % 2 == 1)
-        D[m] = Matrix(modules[0].ring, sizes[m - 1], sizes[m], rows)
+    hi = max(cube.sizes, default=cube.q_min)
+    if top is not None:
+        hi = min(hi, cube.q_max + 2)
+    D = {m: Matrix(cube.modules[0].ring, cube.sizes[m - 1], cube.sizes[m],
+                   _cube_total(cube, m))
+         for m in range(cube.q_min + 1, hi + 1)}
     _check_square_zero(D, message)
-    return sizes, D, offsets
+    return (D, {}) if top is None else ({}, D)
 
 
 def fih_chain_complex(V: FIModule, n, top=None, ev=None) -> FIHComplexAt:
     """Build the cube complex of V at level n and verify d^2 = 0; with
-    `top`, only the degrees p <= top (see `_cube_total`).  `ev` is an
-    `_Injections(V)` kept by a caller that walks the levels."""
-    sizes, D, offsets = _cube_total(
-        n, 0, (V,), None,
-        "d^2 != 0 at (level %d, degree %%d): structure maps "
-        "violate the FI relations or the sign bookkeeping broke" % n, top,
-        None if ev is None else (ev,))
-    return FIHComplexAt(V, n, tuple(sizes.values()), tuple(D.values()),
-                        tuple(offsets[(p, 0)] for p in sizes), top)
+    `top`, a level of a walk: only the degrees p <= top, (d_1, d_2)
+    checked, the rest written on request (see `_differentials`).  `ev` is
+    an `_Injections(V)` kept by a caller that walks the levels."""
+    cube = _Cube(n, 0, (V,), None, top, None if ev is None else (ev,))
+    held, spare = _differentials(
+        cube, top, "d^2 != 0 at (level %d, degree %%d): structure maps "
+        "violate the FI relations or the sign bookkeeping broke" % n)
+    return FIHComplexAt(V, n, tuple(cube.sizes.values()), tuple(held.values()),
+                        tuple(cube.offsets[(p, 0)] for p in cube.sizes), top,
+                        None if top is None else cube, spare)
 
 
 def fih_group(V: FIModule, n, p) -> AbelianClass:
@@ -313,10 +388,12 @@ def _degree_profile(complex_at, N, ks):
 def degrees(V: FIModule, kmax) -> DegreeProfile:
     """DegreeProfile of t_0 .. t_kmax over all levels up to the truncation.
 
-    Each level is built through degree max(kmax + 1, 2) only: H_k reads d_k
-    and d_{k+1}, and keeping d_2 keeps every d^2 relation checked by the
-    ascending walk (see `_cube_total`).  The walk keeps one evaluator of V,
-    so each face matrix V(delta_pos) is built once, not once per level.
+    Each level is laid out through degree max(kmax + 1, 2) only, since H_k
+    reads d_k and d_{k+1}.  Only d_1 d_2 is multiplied, which checks every
+    d^2 relation in the ascending walk; d_1 and d_2 are built whole for
+    it, and each higher d_p only on the rows compression keeps (see
+    `_differentials`).  The walk keeps one evaluator of V, so each face
+    matrix V(delta_pos) is built once, not once per level.
     """
     N = V.truncation
     if kmax < 0:

@@ -242,9 +242,12 @@ def _put_block(rows, r0, c0, blk, negate=False):
 
     Only writes: the caller places blocks that share no entry with each
     other or with what the rows hold, so nothing is read, added or tested.
+    A row left None is not written: the caller builds only the other rows.
     """
     for i, r in enumerate(blk.rows):
         tgt = rows[r0 + i]
+        if tgt is None:
+            continue
         for j, v in r.items():
             tgt[c0 + j] = -v if negate else v
 
@@ -276,26 +279,31 @@ def block_matrix(ring, row_dims, col_dims, blocks):
 
 
 def _int_rows(M, skip=()):
-    """Sparse integer rows {i: row}, row i of M scaled, zero rows and the
-    rows whose index is in `skip` left out.
-
-    Rational rows are cleared by their denominator lcm and every row is
-    divided by its content; row scalings keep the rank and the RREF.
+    """Sparse integer rows {i: row} of content 1, copied from the rows of
+    M whose index is not in `skip`, zero rows left out (see `_own_int_rows`).
     """
-    out = {}
-    for i, r in enumerate(M.rows):
-        if not r or i in skip:
-            continue
-        if M.ring == QQ:
+    return _own_int_rows({i: dict(r) for i, r in enumerate(M.rows)
+                          if r and i not in skip})
+
+
+def _own_int_rows(rows):
+    """The sparse rows {i: row}, handed over, made integer in place.
+
+    A row holding a Fraction is cleared by its denominator lcm, and every
+    row is divided by its content; row scalings keep the rank and the RREF.
+    """
+    for r in rows.values():
+        try:
+            g = gcd(*r.values())
+        except TypeError:  # a Fraction entry: clear the denominators first
             mult = lcm(*(v.denominator for v in r.values()))
-            d = {j: v.numerator * (mult // v.denominator) for j, v in r.items()}
-        else:
-            d = dict(r)
-        g = gcd(*d.values())
+            for j, v in r.items():
+                r[j] = v.numerator * (mult // v.denominator)
+            g = gcd(*r.values())
         if g > 1:
-            d = {j: v // g for j, v in d.items()}
-        out[i] = d
-    return out
+            for j in r:
+                r[j] //= g
+    return rows
 
 
 def _column_index(rows):
@@ -386,15 +394,22 @@ def _eliminate(rows, units_only):
         pivots.append(pj)
 
 
+def _rank_of(rows):
+    """(rank, pivot columns) of the sparse rows {i: row} handed over, which
+    are consumed: made integer in place and eliminated."""
+    piv = _eliminate(_own_int_rows(rows), False)[0]
+    return len(piv), piv
+
+
 def rank(M, skip=(), pivots=False):
-    """Rank of M, by sparse fraction-free elimination.
+    """Rank of M, by sparse fraction-free elimination of a copy of its rows.
 
     The rows whose index is in `skip` (a set) are left out.  With `pivots`,
     returns (rank, pivot columns): as many columns of M as the rank,
     independent over Q.
     """
-    piv = _eliminate(_int_rows(M, skip), False)[0]
-    return (len(piv), piv) if pivots else len(piv)
+    r, piv = _rank_of(_int_rows(M, skip))
+    return (r, piv) if pivots else r
 
 
 # ---------------------------------------------------------------------------
@@ -681,23 +696,10 @@ def snf(M):
     return _snf(M, True, True, True, True)
 
 
-def elementary_divisors(M, skip=(), pivots=False):
-    """Nonzero diagonal of the Smith form of M, without transforms.
-
-    Unit pivots are peeled off sparsely first (`_eliminate` in unit mode,
-    one unit divisor each).  The dense residue goes through `_smith`, the
-    engine of `snf`, with empty transform rows, so it takes the same steps
-    as in `snf` and no transform is built.
-
-    The rows whose index is in `skip` (a set) are left out.  With `pivots`,
-    returns (divisors, pivot columns of the unit peel only): for some
-    unimodular E, the minor of E @ M on those columns and the peeled rows
-    is unimodular.  The residue's pivots are never reported.
-    """
-    if M.ring != ZZ:
-        raise ValueError("elementary divisors need a Z matrix")
-    piv, rows = _eliminate(
-        {i: dict(r) for i, r in enumerate(M.rows) if r and i not in skip}, True)
+def _divisors_of(rows):
+    """(elementary divisors, unit-peel pivots) of the integer rows {i: row}
+    handed over, which the unit peel consumes (see `elementary_divisors`)."""
+    piv, rows = _eliminate(rows, True)
     divs = [1] * len(piv)
     if rows:
         live_cols = sorted({j for r in rows.values() for j in r})
@@ -709,6 +711,26 @@ def elementary_divisors(M, skip=(), pivots=False):
         A = _smith(dense, len(live_cols), [[] for _ in dense], [[] for _ in dense],
                    [[] for _ in live_cols], [[] for _ in live_cols])[0]
         divs += [A[i][i] for i in range(min(len(A), len(live_cols))) if A[i][i]]
+    return divs, piv
+
+
+def elementary_divisors(M, skip=(), pivots=False):
+    """Nonzero diagonal of the Smith form of M, without transforms.
+
+    Unit pivots are peeled off sparsely first (`_eliminate` in unit mode,
+    one unit divisor each), on a copy of M's rows.  The dense residue goes
+    through `_smith`, the engine of `snf`, with empty transform rows, so it
+    takes the same steps as in `snf` and no transform is built.
+
+    The rows whose index is in `skip` (a set) are left out.  With `pivots`,
+    returns (divisors, pivot columns of the unit peel only): for some
+    unimodular E, the minor of E @ M on those columns and the peeled rows
+    is unimodular.  The residue's pivots are never reported.
+    """
+    if M.ring != ZZ:
+        raise ValueError("elementary divisors need a Z matrix")
+    divs, piv = _divisors_of(
+        {i: dict(r) for i, r in enumerate(M.rows) if r and i not in skip})
     return (divs, piv) if pivots else divs
 
 
