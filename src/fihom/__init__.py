@@ -22,8 +22,7 @@ from .fimodule import (
 )
 from .homology import (
     DegreeProfile, Estimate, FIHComplexAt, degrees, delta_estimate,
-    fih_chain_complex, fih_group, filtration_layer, hmax_estimate,
-    subset_layout,
+    fih_chain_complex, fih_group, hmax_estimate, subset_layout,
 )
 from .complexes import (
     FIComplex, TotalComplexAt, complex_from_morphisms, derivative_two_term,

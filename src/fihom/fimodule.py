@@ -526,14 +526,18 @@ def fi_coker(f: FIMorphism) -> FIModule:
     torsion free (checked via the Smith form); otherwise
     CokernelTorsionError is raised.
     """
-    V, W = f.source, f.target
-    N = V.truncation
-    ring = V.ring
-    if ring == QQ:
-        quots = [QuotientCoords(f.levels[n], Matrix.zeros(QQ, 0, W.dims[n]))
-                 for n in range(N + 1)]
-        return _quotient_module(W, [(q.proj, q.lift) for q in quots])
-    return _quotient_module(W, [_z_coker_level(L, n) for n, L in enumerate(f.levels)])
+    return _quotient_module(f.target,
+                            [_coker_level(L, n) for n, L in enumerate(f.levels)])
+
+
+def _coker_level(L, n):
+    """(proj, lift) of the cokernel of the level-n map L, for
+    `_quotient_module`: over Q by `QuotientCoords`, over Z by
+    `_z_coker_level`."""
+    if L.ring == QQ:
+        q = QuotientCoords(L, Matrix.zeros(QQ, 0, L.nrows))
+        return q.proj, q.lift
+    return _z_coker_level(L, n)
 
 
 def _z_coker_level(L, n):
@@ -595,16 +599,13 @@ def _free_morphism_levels(sources, target, images):
 def _free_coker(sources, target: FIModule, images):
     """(f, fi_coker(f)) for f = free_morphism(sources, target, images).
 
-    Over Z each level of f is Smith-checked as soon as it is built, so a
-    torsion cokernel raises CokernelTorsionError at its first torsion
+    Each level's cokernel is taken as soon as the level is built, so over
+    Z a torsion cokernel raises CokernelTorsionError at its first torsion
     level, before the levels above it and the source module are built.
     """
-    if target.ring == QQ:
-        f = free_morphism(sources, target, images)
-        return f, fi_coker(f)
     levels, quots = [], []
     for n, L in enumerate(_free_morphism_levels(sources, target, images)):
-        quots.append(_z_coker_level(L, n))
+        quots.append(_coker_level(L, n))
         levels.append(L)
     f = FIMorphism(_free_sum(sources, target), target, tuple(levels))
     return f, _quotient_module(target, quots)

@@ -21,6 +21,10 @@ from .linalg import Matrix, QQ, ZZ, _coerce, _put_block, kernel_basis
 
 MAX_TRUNCATION = 6
 MAX_FB_DIM = 4
+# a draw picks at most *_MAX_GENS free generators of cardinality at most
+# *_MAX_CARD per term; a complex has COMPLEX_TERMS terms
+COKER_MAX_CARD, COKER_MAX_GENS = 2, 3
+COMPLEX_TERMS, COMPLEX_MAX_CARD, COMPLEX_MAX_GENS = 3, 2, 2
 ENTRY_LO, ENTRY_HI = -3, 3
 
 
@@ -144,7 +148,7 @@ class CokerInstance:
         return out
 
 
-def gen_coker(seed, ring=QQ, trunc=5, max_card=2, max_gens=3, retries=4) -> CokerInstance:
+def gen_coker(seed, ring=QQ, trunc=5, retries=4) -> CokerInstance:
     """Cokernel of a random map (+) M(m_i) -> M(X).
 
     Over Z a torsion cokernel cannot be represented; such draws are
@@ -157,9 +161,9 @@ def gen_coker(seed, ring=QQ, trunc=5, max_card=2, max_gens=3, retries=4) -> Coke
     for attempt in range(retries + 1):
         attempt_ring = ring if attempt < retries else QQ
         rng = random.Random("coker:%s:%d" % (seed, attempt))
-        X = random_fbdata(rng, attempt_ring, trunc, top=min(max_card, trunc))
+        X = random_fbdata(rng, attempt_ring, trunc, top=min(COKER_MAX_CARD, trunc))
         target = free_fi_module(X, name="target")
-        cards = _free_source(rng, max_card, max_gens)
+        cards = _free_source(rng, COKER_MAX_CARD, COKER_MAX_GENS)
         images = []
         for m in cards:
             images.append([_entry(rng) for _ in range(target.dims[m])])
@@ -172,7 +176,7 @@ def gen_coker(seed, ring=QQ, trunc=5, max_card=2, max_gens=3, retries=4) -> Coke
     raise AssertionError("unreachable: Q cokernels always exist")
 
 
-def gen_complex(seed, ring=QQ, trunc=4, terms=3, max_card=2, max_gens=2) -> FIComplex:
+def gen_complex(seed, ring=QQ, trunc=4) -> FIComplex:
     """A complex of free modules (+) M(m) with genuinely composing zero maps.
 
     del_1 is a random map of frees; each next differential sends its
@@ -180,15 +184,13 @@ def gen_complex(seed, ring=QQ, trunc=4, terms=3, max_card=2, max_gens=2) -> FICo
     integer combinations of a kernel basis.
     """
     _guard(trunc)
-    if terms < 1:
-        raise ValueError("need at least one term")
     rng = random.Random("complex:%s" % seed)
-    cards = [_free_source(rng, max_card, max_gens)
-             for _ in range(terms)]
+    cards = [_free_source(rng, COMPLEX_MAX_CARD, COMPLEX_MAX_GENS)
+             for _ in range(COMPLEX_TERMS)]
     mods = [direct_sum(*[representable(m, trunc, ring) for m in cards[0]])]
     diffs = []
     prev = None  # del into mods[t - 1]
-    for t in range(1, terms):
+    for t in range(1, COMPLEX_TERMS):
         target = mods[t - 1]
         images = []
         for m in cards[t]:
@@ -212,15 +214,16 @@ def gen_complex(seed, ring=QQ, trunc=4, terms=3, max_card=2, max_gens=2) -> FICo
 def generate(kind, seed, ring=None, trunc=None, dims=None) -> str:
     """Serialized instance of the requested kind, deterministic in the seed."""
     if kind == "free":
-        V, X = gen_free(seed, ring=ring or ZZ, trunc=trunc or 4, dims=dims)
+        V, X = gen_free(seed, ring=ring or ZZ, trunc=4 if trunc is None else trunc,
+                        dims=dims)
         header = "# free module, seed %s, generator dims %s\n" % (seed, list(X.dims))
         return header + serialize(V)
     if kind == "coker":
-        inst = gen_coker(seed, ring=ring or QQ, trunc=trunc or 5)
+        inst = gen_coker(seed, ring=ring or QQ, trunc=5 if trunc is None else trunc)
         header = "".join(line + "\n" for line in inst.notes())
         return header + serialize(inst.module)
     if kind == "complex":
-        W = gen_complex(seed, ring=ring or QQ, trunc=trunc or 4)
+        W = gen_complex(seed, ring=ring or QQ, trunc=4 if trunc is None else trunc)
         header = "# complex of free modules, seed %s\n" % (seed,)
         return header + serialize(W)
     raise ValueError("unknown kind %r (free, coker, complex)" % (kind,))

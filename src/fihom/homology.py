@@ -13,16 +13,13 @@ mapping in, the generators-in-degree-n obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .fimodule import (
-    CokernelTorsionError, FBData, FIModule, FIMorphism, _Injections, _layout,
-    _subset_blocks, face_matrices, fi_coker, representable_basis_injections,
-    shift_module,
+    FIModule, _Injections, _layout, face_matrices, fi_coker, shift_module,
 )
 from .linalg import (
     AbelianClass, Matrix, QQ, _abelian_class, _divisors_of, _put_block,
-    _rank_of, elementary_divisors, image_basis, rank, solve_matrix,
+    _rank_of, elementary_divisors, rank,
 )
 
 
@@ -292,7 +289,7 @@ def _differentials(cube, top, message):
         multiplied, in any degree the walk reads.
     The argument needs the levels below n checked first, so builders of a
     single level (`fih_group`, the `homology` and `hyper` commands, the
-    homology suite, `_matches_free_on`, the shift checks) build it whole.
+    homology suite, the shift checks) build it whole.
     """
     hi = max(cube.sizes, default=cube.q_min)
     if top is not None:
@@ -465,129 +462,3 @@ def delta_estimate(V: FIModule) -> Estimate:
                             note="no stabilization within truncation")
         W = fi_coker(shift_module(W).natural)
         j += 1
-
-
-# ---------------------------------------------------------------------------
-# cardinality filtration
-
-
-def _generated_submodule(V, k):
-    """Bases B_n of the levelwise span of all images V(m_) -> V(n_), m <= k.
-
-    For n <= k the span is everything; above, every injection from a
-    level <= k extends to one from level k, so the images of injections
-    k_ -> n_ alone generate.
-    """
-    ring = V.ring
-    ev = _Injections(V)
-    bases = []
-    for n in range(V.truncation + 1):
-        if n <= k:
-            bases.append(Matrix.identity(ring, V.dims[n]))
-            continue
-        stacked_rows = [{} for _ in range(V.dims[n])]
-        off = 0
-        for f in representable_basis_injections(k, n):
-            _put_block(stacked_rows, 0, off, ev(f, n))
-            off += V.dims[k]
-        stacked = Matrix(ring, V.dims[n], off, stacked_rows)
-        bases.append(image_basis(stacked))
-    return bases
-
-
-def _restrict(V, bases, name=""):
-    """The FIModule carried by an iota- and S_n-stable family of column spans."""
-    N = V.truncation
-    dims = tuple(b.ncols for b in bases)
-    iotas = []
-    for n in range(N):
-        sol = solve_matrix(bases[n + 1], V.iota[n] @ bases[n])
-        if sol is None:
-            raise ArithmeticError("span family not iota-stable (bug)")
-        iotas.append(sol)
-    trans = []
-    for n in range(N + 1):
-        mats = []
-        for i in range(1, n):
-            sol = solve_matrix(bases[n], V.transposition(n, i) @ bases[n])
-            if sol is None:
-                raise ArithmeticError("span family not S_n-stable (bug)")
-            mats.append(sol)
-        trans.append(tuple(mats))
-    return FIModule(V.ring, N, dims, tuple(iotas), tuple(trans), name=name)
-
-
-def filtration_layer(V: FIModule, k, free_data: Optional[FBData] = None):
-    """(F_k, layer_ok): the submodule generated by levels <= k, with checks.
-
-    F_k(n_) is the span (lattice, over Z) of all images from levels <= k,
-    with the restricted structure maps.  layer_ok verifies:
-      - H_0 F_k(j_) == H_0 V(j_) for j <= k, and H_0 F_k(j_) = 0 for j > k;
-      - when free_data X is supplied (V must be free on X): F_k is free on
-        the truncation X_{<=k}, certified by H_0 F_k == X_{<=k} levelwise
-        and H_p F_k = 0 for p >= 1, and the quotient F_k/F_{k-1} is free
-        on X_k alone, certified the same way.
-    """
-    if k > V.truncation or k < 0:
-        raise ValueError("layer index %d outside truncation" % k)
-    bases = _generated_submodule(V, k)
-    Fk = _restrict(V, bases, name=("F_%d %s" % (k, V.name)).strip())
-
-    ok = True
-    for j in range(V.truncation + 1):
-        h_f = fih_group(Fk, j, 0)
-        if j <= k:
-            if h_f != fih_group(V, j, 0):
-                ok = False
-        elif not h_f.is_zero():
-            ok = False
-    if free_data is not None and ok:
-        ok = _free_layer_checks(V, Fk, bases, k, free_data)
-    return Fk, ok
-
-
-def _layer_fbdata(X, lo, hi):
-    """X with only the cardinalities lo..hi kept, the others zero."""
-    dims = tuple(d if lo <= m <= hi else 0 for m, d in enumerate(X.dims))
-    trans = None
-    if X.trans is not None:
-        trans = tuple(
-            tuple(X.trans[m][i] if lo <= m <= hi else
-                  Matrix.zeros(X.ring, 0, 0) for i in range(max(0, m - 1)))
-            for m in range(X.truncation + 1))
-    return FBData(X.ring, X.truncation, dims, trans)
-
-
-def _matches_free_on(W, X):
-    """Certificate that W is free on X: right dims, H_0 = X, H_{>0} = 0."""
-    if W.dims != tuple(_subset_blocks(X, n)[1] for n in range(X.truncation + 1)):
-        return False
-    for n in range(W.truncation + 1):
-        cpx = fih_chain_complex(W, n)
-        if cpx.homology(0) != AbelianClass(X.dims[n]):
-            return False
-        for p in range(1, n + 1):
-            if not cpx.homology(p).is_zero():
-                return False
-    return True
-
-
-def _free_layer_checks(V, Fk, bases, k, X):
-    """F_k (spanned by `bases`) free on X_{<=k}, and F_k/F_{k-1} free on X_k."""
-    if not _matches_free_on(Fk, _layer_fbdata(X, 0, k)):
-        return False
-    if k == 0:
-        return True
-    prev_bases = _generated_submodule(V, k - 1)
-    Fprev = _restrict(V, prev_bases)
-    incl = []
-    for n in range(V.truncation + 1):
-        sol = solve_matrix(bases[n], prev_bases[n])
-        if sol is None:
-            return False
-        incl.append(sol)
-    try:
-        Q = fi_coker(FIMorphism(Fprev, Fk, tuple(incl)))
-    except CokernelTorsionError:
-        return False
-    return _matches_free_on(Q, _layer_fbdata(X, k, k))

@@ -278,12 +278,10 @@ def block_matrix(ring, row_dims, col_dims, blocks):
 # rank
 
 
-def _int_rows(M, skip=()):
+def _int_rows(M):
     """Sparse integer rows {i: row} of content 1, copied from the rows of
-    M whose index is not in `skip`, zero rows left out (see `_own_int_rows`).
-    """
-    return _own_int_rows({i: dict(r) for i, r in enumerate(M.rows)
-                          if r and i not in skip})
+    M, zero rows left out (see `_own_int_rows`)."""
+    return _own_int_rows({i: dict(r) for i, r in enumerate(M.rows) if r})
 
 
 def _own_int_rows(rows):
@@ -408,7 +406,8 @@ def rank(M, skip=(), pivots=False):
     returns (rank, pivot columns): as many columns of M as the rank,
     independent over Q.
     """
-    r, piv = _rank_of(_int_rows(M, skip))
+    r, piv = _rank_of({i: dict(row) for i, row in enumerate(M.rows)
+                       if row and i not in skip})
     return (r, piv) if pivots else r
 
 

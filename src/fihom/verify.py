@@ -99,13 +99,13 @@ class _Run:
 
 
 def _mixed_module(i, seed, trunc):
-    """Alternate free / cokernel instances over alternating rings."""
+    """(V, X): alternate free (X its generators) / cokernel (X None)
+    instances over alternating rings."""
     ring = ZZ if (i // 2) % 2 == 0 else QQ
     sub = "%d:%d" % (seed, i)
     if i % 2 == 0:
-        V, _ = gen_free(sub, ring=ring, trunc=trunc)
-        return V
-    return gen_coker(sub, ring=ring, trunc=trunc).module
+        return gen_free(sub, ring=ring, trunc=trunc)
+    return gen_coker(sub, ring=ring, trunc=trunc).module, None
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +116,7 @@ def suite_homology(trials=40, seed=0):
     """d^2 = 0, homology of frees, and the levelwise Euler characteristic."""
     run = _Run()
     for i in range(trials):
-        ring = ZZ if (i // 2) % 2 == 0 else QQ
-        sub = "%d:%d" % (seed, i)
-        free = i % 2 == 0
-        if free:
-            V, X = gen_free(sub, ring=ring, trunc=4)
-        else:
-            V = gen_coker(sub, ring=ring, trunc=4).module
+        V, X = _mixed_module(i, seed, trunc=4)
         for n in range(V.truncation + 1):
             try:
                 cx = fih_chain_complex(V, n)
@@ -135,7 +129,7 @@ def suite_homology(trials=40, seed=0):
             euler_ranks = sum((-1) ** p * h.rank for p, h in enumerate(hs))
             run.check(euler_sizes == euler_ranks,
                       "euler characteristic mismatch at level %d" % n, V)
-            if free:
+            if X is not None:
                 run.check(hs[0] == AbelianClass(X.dims[n]),
                           "H_0 of a free module is not X at level %d" % n, V)
                 run.check(all(h.is_zero() for h in hs[1:]),
@@ -167,7 +161,7 @@ def suite_shift(trials=12, seed=0):
     """Shift validity, the cone regrouping, and three-term exactness."""
     run = _Run()
     for i in range(trials):
-        V = _mixed_module(i, seed, trunc=4)
+        V, _ = _mixed_module(i, seed, trunc=4)
         sd = shift_module(V)
         run.check(not validate(sd.module), "shift is not an FI-module", V)
         run.check(not validate_morphism(sd.natural),

@@ -345,6 +345,15 @@ def test_gen_coker_to_stdout_parses(capsys):
     assert parse(out).ring == "Q"
 
 
+@pytest.mark.parametrize("kind", ["free", "coker", "complex"])
+def test_gen_refuses_truncation_zero(capsys, kind):
+    code, out, err = run(capsys, ["gen", "--kind", kind, "--seed", "1",
+                                  "--trunc", "0"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "truncation 0 outside 1..6" in err
+
+
 def test_verify_suite_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "partitions",
                                 "--trials", "6", "--seed", "1"])

@@ -19,8 +19,6 @@ from fihom import (
     fi_coker,
     fih_chain_complex,
     fih_group,
-    filtration_layer,
-    free_fi_module,
     free_morphism,
     hmax_estimate,
     homology_class,
@@ -30,7 +28,6 @@ from fihom import (
     zero_module,
 )
 from fihom import complexes, homology
-from fihom.fimodule import FBData
 from fihom.generate import gen_coker, gen_complex, gen_free
 
 
@@ -424,44 +421,3 @@ def test_estimator_relations_on_random_instances():
             assert h == -1
         else:
             assert h <= t0 + max(t0, t1) - 1
-
-
-# ---------------------------------------------------------------------------
-# cardinality filtration
-
-
-def test_filtration_full_layer_of_free_module():
-    X = FBData(ZZ, 3, (1, 0, 1, 0))
-    V = free_fi_module(X)
-    Fk, ok = filtration_layer(V, 2, free_data=X)
-    assert ok
-    assert Fk.dims == V.dims
-
-
-def test_filtration_layer_zero_below_support():
-    V = representable(1, 3, QQ)
-    F0, ok = filtration_layer(V, 0)
-    assert ok
-    assert F0.is_zero()
-
-
-def test_filtration_of_constant_module():
-    V = constant_module(3, ZZ)
-    for k in range(4):
-        Fk, ok = filtration_layer(V, k)
-        assert ok
-        assert Fk.dims == V.dims
-
-
-def test_filtration_partial_layer_of_free_module():
-    X = FBData(QQ, 3, (0, 1, 1, 0))
-    V = free_fi_module(X)
-    F1, ok = filtration_layer(V, 1, free_data=X)
-    assert ok
-    # F_1 is free on the cardinality-<=1 part: dims n at level n
-    assert F1.dims == (0, 1, 2, 3)
-
-
-def test_filtration_guard():
-    with pytest.raises(ValueError):
-        filtration_layer(constant_module(2, ZZ), 3)

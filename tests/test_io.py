@@ -231,5 +231,8 @@ def test_generate_rejects_unknown_kind():
 def test_generate_size_guards():
     with pytest.raises(ValueError):
         generate("free", 1, trunc=9)
+    for kind in ("free", "coker", "complex"):  # 0 is not "use the default"
+        with pytest.raises(ValueError, match="truncation 0 outside 1..6"):
+            generate(kind, 1, trunc=0)
     with pytest.raises(ValueError):
         gen_free(1, trunc=3, dims=(1, 1, 1, 1, 1))
