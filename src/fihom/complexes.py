@@ -11,14 +11,15 @@ as negatively graded chain complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .fimodule import (
     FIModule, _Injections, _quotient_module, shift_module, truncate, validate,
     validate_morphism, zero_module,
 )
 from .homology import (
-    DegreeProfile, _ChainComplex, _Cube, _degree_profile, _differentials,
-    fih_chain_complex,
+    DegreeProfile, _ChainComplex, _Cube, _cube_total, _degree_profile,
+    _differentials, fih_chain_complex,
 )
 from .linalg import (
     AbelianClass, Matrix, QQ, QuotientCoords, _put_block, block_matrix, rank,
@@ -102,12 +103,12 @@ class TotalComplexAt(_ChainComplex):
     """Total complex of the cube bicomplex of an FIComplex at one level:
     sizes[m] = dim T_m (m_min <= m <= m_max) and D[m]: T_m -> T_{m-1}
     (m_min < m <= m_max) as laid out by `_Cube` and D^2-checked by
-    `_differentials`.  With a degree window `top`, m_max is at most top."""
+    `_differentials`."""
 
-    def __init__(self, level, m_min, m_max, sizes, D, ring="Z", top=None,
-                 cube=None, spare=None):
-        self.level, self.m_min, self.m_max, self.ring = level, m_min, m_max, ring
-        super().__init__(ring, sizes, D, top, cube, spare)
+    def __init__(self, cube, checked):
+        self.level, self.m_min, self.m_max = cube.level, cube.q_min, max(cube.sizes)
+        self.ring = cube.modules[0].ring
+        super().__init__(self.ring, cube.sizes, partial(_cube_total, cube), checked)
 
     @property
     def sizes(self):
@@ -120,17 +121,14 @@ class TotalComplexAt(_ChainComplex):
         return {m: d for m in self._sizes if (d := self._diff(m)) is not None}
 
 
-def hyper_total_complex(W: FIComplex, n, top=None, evs=None) -> TotalComplexAt:
+def hyper_total_complex(W: FIComplex, n, walk=None) -> TotalComplexAt:
     """T_m = (+)_{p+q=m} S_p(W_q) with D = d_cube + (-1)^p del, laid out by
     `_Cube` and built in one pass; its one D^2 check covers each cube d^2.
-    With `top`, a level of a walk: only the total degrees m <= top, the
-    pairs through q_max + 2 checked, the rest written on request (see
-    `_differentials`).  `evs` holds one `_Injections` per module, kept by
-    a caller that walks the levels."""
-    cube = _Cube(n, W.q_min, W.modules, W.diff_level, top, evs)
-    held, spare = _differentials(cube, top, "D^2 != 0 at total degree %d (bug)")
-    return TotalComplexAt(n, W.q_min, max(cube.sizes), cube.sizes, held, W.ring,
-                          top, None if top is None else cube, spare)
+    `walk` holds one `_Injections` per module, kept by a caller that builds
+    the levels 0, 1, ..., n in turn; given, only the pairs through q_max + 2
+    are multiplied (see `_differentials`)."""
+    cube = _Cube(n, W.q_min, W.modules, W.diff_level, walk)
+    return TotalComplexAt(cube, _differentials(cube, "D^2 != 0 at total degree %d (bug)"))
 
 
 def hyper_group(W: FIComplex, n, m) -> AbelianClass:
@@ -140,18 +138,17 @@ def hyper_group(W: FIComplex, n, m) -> AbelianClass:
 def hyper_degrees(W: FIComplex, krange) -> DegreeProfile:
     """t_k over k in krange = (k_lo, k_hi): top level with H_k(Tot) != 0.
 
-    Each level is laid out through total degree max(k_hi + 1, q_max + 2)
-    only, which reads every H_k asked for; the pairs through q_max + 2 are
-    multiplied, which checks every D^2 relation in the ascending walk, and
-    each higher D_m is written only on the rows compression keeps (see
-    `_differentials`).  The walk keeps one evaluator per module, so each
-    face matrix is built once.
+    The pairs through q_max + 2 are multiplied at each level, which checks
+    every D^2 relation in the ascending walk; H_k reads D_k and D_{k+1}, so
+    each higher D_m is written only if m <= k_hi + 1, and only on the rows
+    compression keeps (see `_differentials`).  The walk keeps one evaluator
+    per module, so each face matrix is built once.
     """
     k_lo, k_hi = krange
     if k_lo > k_hi:
         raise ValueError("empty degree range %d..%d" % (k_lo, k_hi))
-    top, evs = max(k_hi + 1, W.q_max + 2), tuple(map(_Injections, W.modules))
-    return _degree_profile(lambda n: hyper_total_complex(W, n, top, evs),
+    evs = tuple(map(_Injections, W.modules))
+    return _degree_profile(lambda n: hyper_total_complex(W, n, evs),
                            W.truncation, range(k_lo, k_hi + 1))
 
 

@@ -13,13 +13,14 @@ mapping in, the generators-in-degree-n obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .fimodule import (
     FIModule, _Injections, _layout, face_matrices, fi_coker, shift_module,
 )
 from .linalg import (
     AbelianClass, Matrix, QQ, _abelian_class, _divisors_of, _put_block,
-    _rank_of, elementary_divisors, rank,
+    _rank_of, rank,
 )
 
 
@@ -31,9 +32,13 @@ def subset_layout(V, n, size):
 class _ChainComplex:
     """Homology of a chain complex C_m with differentials D_m: C_m -> C_{m-1}.
 
-    `sizes` maps m to dim C_m and `held` m to the D_m stored whole.  Both
-    subclasses (`FIHComplexAt`, `TotalComplexAt`) are read out of one
-    `_Cube` layout by `_differentials`, which runs the d^2 check.  The
+    `sizes` maps m to dim C_m, and D_m exists where C_{m-1} and C_m do.
+    `write(m, skip)` returns the rows of D_m as a fresh list, where rows
+    whose index is in `skip` may be left None.  `checked` maps m to the D_m
+    built for the d^2 check: its first reader takes it, and each later read
+    writes D_m again, so no two readers share a row.  Both subclasses
+    (`FIHComplexAt`, `TotalComplexAt`) write from one `_Cube` layout by
+    `_cube_total`, and `_differentials` runs their d^2 check.  The
     invariants of each differential are computed once per object and
     cached: over Z the elementary divisors of the map into C_m, over Q its
     rank.  The rank of the map out of C_m is the count of its divisors once
@@ -51,12 +56,12 @@ class _ChainComplex:
         of D_m, so ker D_m meets span(e_P) in 0.  im D_{m+1} lies in
         ker D_m, so leaving out the P rows keeps the rank.
       - Over Z, P must be the pivots of the unit peel of
-        `elementary_divisors`: then E @ D_m has a unimodular P-minor for
+        `_divisors_of`: then E @ D_m has a unimodular P-minor for
         some unimodular E, so on ker D_m the P coordinates are an integral
         function of the others, and a unimodular change of basis of C_m
         sends D_{m+1} to [0; D_{m+1} without the P rows].  The elementary
         divisors are unchanged.
-      - Pivots of `rank`'s mixed elimination, or of the dense Smith
+      - Pivots of `_rank_of`'s mixed elimination, or of the dense Smith
         residue, never drop rows for the divisors.  With D_m = [[2, 3]] and
         D_{m+1} = [[3], [-2]], H_m = 0, but dropping row 0 by the non-unit
         pivot 2 would leave [[-2]] and report Z/2.
@@ -64,47 +69,35 @@ class _ChainComplex:
     D_{m+1} are valid in turn for D_{m+2}.  Pivots are used only when the
     map below was eliminated anyway, so the results agree in any order.
 
-    A complex built with a degree window (`top` not None) is one level of
-    an ascending walk and has C_m and D_m only for m <= top.  Reading
-    size, differential or boundary_out above top, or boundary_in or
-    homology at top or above, raises ValueError: the missing map is not a
-    zero map.  It holds no differential: each is written when it is first
-    eliminated, on the rows the pivots below it leave, and the elimination
-    consumes it; a public read (`differential`, `d`, `D`, the boundaries)
-    writes D_m whole, each time.
+    Every elimination takes its rows over: those of the d^2 check's D_m
+    if no one has read it, else only the rows it keeps, written now.  A
+    public read (`differential`, `d`, `D`, the boundaries) gets D_m whole.
     """
 
-    def __init__(self, ring, sizes, held, top=None, cube=None, spare=None):
+    def __init__(self, ring, sizes, write, checked):
         self._ring = ring
         self._sizes = sizes       # m -> dim C_m
-        self._held = held         # m -> D_m, whole
-        self.top = top
-        self._cube = cube         # a window's layout, which writes its D_m
-        self._spare = spare or {}  # m -> D_m built for its d^2 check only
+        self._write = write       # (m, skip) -> the rows of D_m
+        self._checked = checked   # m -> D_m from the d^2 check, until read
         self._ranks, self._divs = {}, {}
-        self._pivots = {}   # m -> `rank` pivots of D_m
+        self._pivots = {}   # m -> `_rank_of` pivots of D_m
         self._units = {}    # m -> unit-peel pivots of D_m
 
-    def _window(self, m):
-        """Raise ValueError if degree m lies above the window built."""
-        if self.top is not None and m > self.top:
-            raise ValueError("degree %d above the window built up to degree %d"
-                             % (m, self.top))
-
-    def _on_request(self, m):
-        """Whether D_m exists and the cube writes it on each request."""
-        return self._cube is not None and m - 1 in self._sizes and m in self._sizes
+    def _rows(self, m, skip=()):
+        """The rows of D_m for the caller to keep (rows in `skip` may be
+        None), or None where there is no D_m."""
+        if m - 1 not in self._sizes or m not in self._sizes:
+            return None
+        d = self._checked.pop(m, None)
+        return self._write(m, skip) if d is None else d.rows
 
     def _diff(self, m):
-        """D_m whole (written now if the cube writes it), or None."""
-        self._window(m)
-        if self._on_request(m):
-            return Matrix(self._ring, self._sizes[m - 1], self._sizes[m],
-                          _cube_total(self._cube, m))
-        return self._held.get(m)
+        """D_m whole, or None."""
+        rows = self._rows(m)
+        return None if rows is None else Matrix(
+            self._ring, self._sizes[m - 1], self._sizes[m], rows)
 
     def size(self, m):
-        self._window(m)
         return self._sizes.get(m, 0)
 
     def boundary_out(self, m):
@@ -117,27 +110,20 @@ class _ChainComplex:
         d = self._diff(m + 1)
         return Matrix.zeros(self._ring, self.size(m), 0) if d is None else d
 
-    def _reduce(self, m, skip, public, private):
-        """(invariant, pivots) of D_m on the rows outside `skip`.
-
-        A held D_m (or a zero map) goes to `public`, which copies its rows.
-        One built on request goes to `private`, which consumes the rows:
-        those of its d^2-check spare, or the kept rows written now.
-        """
-        if not self._on_request(m):
-            return public(self.boundary_out(m), skip=skip, pivots=True)
-        spare = self._spare.pop(m, None)
-        rows = _cube_total(self._cube, m, skip) if spare is None else spare.rows
-        return private({i: r for i, r in enumerate(rows) if r and i not in skip})
+    def _reduce(self, m, skip, eliminate):
+        """eliminate({i: row}) on the nonzero rows of D_m outside `skip`,
+        which it takes over."""
+        rows = self._rows(m, skip) or ()
+        return eliminate({i: r for i, r in enumerate(rows) if r and i not in skip})
 
     def _rank(self, m):
-        """rank D_m: the length of its divisors when known, else `rank` on
-        the rows left by any known pivots of D_{m-1}."""
+        """rank D_m: the length of its divisors when known, else `_rank_of`
+        on the rows left by any known pivots of D_{m-1}."""
         if m in self._divs:
             return len(self._divs[m])
         if m not in self._ranks:
             below = self._pivots.get(m - 1) or self._units.get(m - 1, ())
-            self._ranks[m], piv = self._reduce(m, below, rank, _rank_of)
+            self._ranks[m], piv = self._reduce(m, below, _rank_of)
             self._pivots[m] = set(piv)
         return self._ranks[m]
 
@@ -146,12 +132,11 @@ class _ChainComplex:
         pivots of D_{m-1} when those are known."""
         if m not in self._divs:
             self._divs[m], piv = self._reduce(
-                m, self._units.get(m - 1, ()), elementary_divisors, _divisors_of)
+                m, self._units.get(m - 1, ()), _divisors_of)
             self._units[m] = set(piv)
         return self._divs[m]
 
     def homology(self, m):
-        self._window(m + 1)
         if self.size(m) == 0:
             return AbelianClass(0)
         if self._ring == QQ:
@@ -171,19 +156,18 @@ class FIHComplexAt(_ChainComplex):
     """fih_chain_complex(V, n): the cube complex of V at level n.
 
     d[p-1] is the differential S_p -> S_{p-1} (1 <= p <= n); offsets[p]
-    locates the V(S) summand inside S_p.  With a degree window `top`, only
-    p <= top are held.
+    locates the V(S) summand inside S_p.
     """
 
-    def __init__(self, module, level, sizes, d, offsets=(), top=None,
-                 cube=None, spare=None):
-        self.module, self.level, self.offsets = module, level, offsets
-        super().__init__(module.ring, dict(enumerate(sizes)),
-                         dict(enumerate(d, 1)), top, cube, spare)
+    def __init__(self, cube, checked):
+        self.module, self.level = cube.modules[0], cube.level
+        self.offsets = tuple(cube.offsets[(p, 0)] for p in cube.sizes)
+        super().__init__(self.module.ring, cube.sizes, partial(_cube_total, cube),
+                         checked)
 
     @property
     def sizes(self):
-        """dim S_p for p = 0..min(n, top)."""
+        """dim S_p for p = 0..n."""
         return tuple(self._sizes.values())
 
     @property
@@ -202,30 +186,31 @@ class _Cube:
     """The total complex at level n of a cube bicomplex, laid out.
 
     modules[t] is W_{q_min+t} and del_at(q, k) the map W_q(k) -> W_{q-1}(k).
-    evs[t], when given, is an `_Injections(modules[t])` that the caller
-    keeps across levels, so each face matrix is built once per walk.
-    T_m = (+)_{p+q=m} S_p(W_q), q ascending, each S_p in `subset_layout`
-    order: sizes[m] = dim T_m and offsets[(p, q)][S] is the first row of
-    W_q(S) in T_{p+q}, for m <= top when a window `top` is given.
-    `_cube_total` writes the differentials.  One module gives its cube
-    complex.
+    `walk`, when given, holds one `_Injections(modules[t])` per module, kept
+    by a caller that builds the levels 0, 1, ..., n in turn, so each face
+    matrix is built once per walk; it also lets `_differentials` multiply
+    fewer pairs.  T_m = (+)_{p+q=m} S_p(W_q), q ascending, each S_p in
+    `subset_layout` order: sizes[m] = dim T_m and offsets[(p, q)][S] is
+    the first row of W_q(S) in T_{p+q}.  `_cube_total` writes the
+    differentials.  One module gives its cube complex.
     """
 
-    def __init__(self, n, q_min, modules, del_at, top=None, evs=None):
+    def __init__(self, n, q_min, modules, del_at, walk=None):
         if n > modules[0].truncation or n < 0:
             raise ValueError("level %d outside truncation %d"
                              % (n, modules[0].truncation))
         self.level, self.q_min, self.modules, self.del_at = n, q_min, modules, del_at
         self.q_max = q_min + len(modules) - 1
-        self.evs = [_Injections(W) for W in modules] if evs is None else evs
-        hi = self.q_max + n if top is None else min(top, self.q_max + n)
+        self.walk = walk is not None
+        self.evs = [_Injections(W) for W in modules] if walk is None else walk
         self.sizes, self.offsets = {}, {}
-        for m in range(q_min, hi + 1):
+        for m in range(q_min, self.q_max + n + 1):
             self.sizes[m] = 0
             for q in range(max(q_min, m - n), min(self.q_max, m) + 1):
+                base = self.sizes[m]
                 layout, dim = subset_layout(modules[q - q_min], n, n - m + q)
-                self.offsets[(m - q, q)] = {S: self.sizes[m] + o
-                                            for S, o in layout.items()}
+                self.offsets[(m - q, q)] = ({S: base + o for S, o in layout.items()}
+                                            if base else layout)
                 self.sizes[m] += dim
 
 
@@ -234,9 +219,7 @@ def _cube_total(cube, m, skip=()):
 
     Each face block (sign (-1)^pos) and del block (sign (-1)^p) is written
     once.  The rows whose index is in `skip` are left None, and nothing is
-    written into them.  A whole build multiplies every pair D_{m-1} D_m it
-    writes; a level of the degree walk only those through total degree
-    q_max + 2, which suffices (see `_differentials`).
+    written into them.
     """
     n, q_min = cube.level, cube.q_min
     size = cube.sizes[m - 1]
@@ -260,16 +243,15 @@ def _cube_total(cube, m, skip=()):
     return rows
 
 
-def _differentials(cube, top, message):
-    """(held, spare): the differentials of `cube` read at once, d^2-checked.
+def _differentials(cube, message):
+    """m -> D_m for the pairs D_{m-1} D_m that `cube`'s d^2 check multiplies.
 
     The check raises ArithmeticError(message % m) at the first m with
-    D_{m-1} D_m != 0.  A whole build (top None) builds and holds every D_m
-    and checks every pair.  A window (top not None) is one level of an
-    ascending walk, which builds the levels 0, 1, ..., n in turn: it builds
-    D_m whole only for m <= q_max + 2, checks those pairs (the cube
-    complex's (d_1, d_2)), and returns them as spares for their first
-    elimination to consume; `_ChainComplex` writes the others on request.
+    D_{m-1} D_m != 0.  A single-level build multiplies every pair.  A level
+    of an ascending walk (`cube.walk`), which builds the levels 0, 1, ..., n
+    in turn, multiplies only the pairs through total degree q_max + 2 (the
+    cube complex's (d_1, d_2)).  The matrices go to their first reader in
+    `_ChainComplex`.
 
     This drops no relation of the full check.  The block of
     D_{m-1} D_m from W_q(S) to W_{q-2+|J|}(S u J), with |S| = a and
@@ -280,39 +262,37 @@ def _differentials(cube, top, message):
     p = |J| and total degree q + |J| <= q_max + 2: the face-face blocks in
     d_1 d_2, the face-del blocks at p = 1 and the del-del blocks at p = 0.
       - So at the first level where the full build fails, every failing
-        block has p <= 2 and total degree <= q_max + 2, and the window fails
+        block has p <= 2 and total degree <= q_max + 2, and the walk fails
         there in the same first degree, with the same message.
       - Once levels 0 .. n have passed, every block of every pair at level
         n recurs in a pair that was multiplied, so D_m D_{m+1} = 0 holds for
         all m at level n.  That is all the pivot-row compression of
         `_ChainComplex` needs, so it stays sound on the pairs not
         multiplied, in any degree the walk reads.
-    The argument needs the levels below n checked first, so builders of a
-    single level (`fih_group`, the `homology` and `hyper` commands, the
-    homology suite, the shift checks) build it whole.
+    The argument needs the levels below n checked first, so only a walk
+    passes `walk`; builders of a single level (`fih_group`, the `homology`
+    and `hyper` commands, the homology suite, the shift checks) multiply
+    every pair.
     """
-    hi = max(cube.sizes, default=cube.q_min)
-    if top is not None:
+    hi = max(cube.sizes)
+    if cube.walk:
         hi = min(hi, cube.q_max + 2)
     D = {m: Matrix(cube.modules[0].ring, cube.sizes[m - 1], cube.sizes[m],
                    _cube_total(cube, m))
          for m in range(cube.q_min + 1, hi + 1)}
     _check_square_zero(D, message)
-    return (D, {}) if top is None else ({}, D)
+    return D
 
 
-def fih_chain_complex(V: FIModule, n, top=None, ev=None) -> FIHComplexAt:
-    """Build the cube complex of V at level n and verify d^2 = 0; with
-    `top`, a level of a walk: only the degrees p <= top, (d_1, d_2)
-    checked, the rest written on request (see `_differentials`).  `ev` is
-    an `_Injections(V)` kept by a caller that walks the levels."""
-    cube = _Cube(n, 0, (V,), None, top, None if ev is None else (ev,))
-    held, spare = _differentials(
-        cube, top, "d^2 != 0 at (level %d, degree %%d): structure maps "
-        "violate the FI relations or the sign bookkeeping broke" % n)
-    return FIHComplexAt(V, n, tuple(cube.sizes.values()), tuple(held.values()),
-                        tuple(cube.offsets[(p, 0)] for p in cube.sizes), top,
-                        None if top is None else cube, spare)
+def fih_chain_complex(V: FIModule, n, walk=None) -> FIHComplexAt:
+    """Build the cube complex of V at level n and verify d^2 = 0.  `walk`
+    is an `_Injections(V)` kept by a caller that builds the levels 0, 1,
+    ..., n in turn; given, only (d_1, d_2) is multiplied (see
+    `_differentials`)."""
+    cube = _Cube(n, 0, (V,), None, None if walk is None else (walk,))
+    return FIHComplexAt(cube, _differentials(
+        cube, "d^2 != 0 at (level %d, degree %%d): structure maps "
+        "violate the FI relations or the sign bookkeeping broke" % n))
 
 
 def fih_group(V: FIModule, n, p) -> AbelianClass:
@@ -385,10 +365,10 @@ def _degree_profile(complex_at, N, ks):
 def degrees(V: FIModule, kmax) -> DegreeProfile:
     """DegreeProfile of t_0 .. t_kmax over all levels up to the truncation.
 
-    Each level is laid out through degree max(kmax + 1, 2) only, since H_k
-    reads d_k and d_{k+1}.  Only d_1 d_2 is multiplied, which checks every
-    d^2 relation in the ascending walk; d_1 and d_2 are built whole for
-    it, and each higher d_p only on the rows compression keeps (see
+    Only d_1 d_2 is multiplied at each level, which checks every d^2
+    relation in the ascending walk; d_1 and d_2 are built whole for it.
+    H_k reads d_k and d_{k+1}, so each higher d_p is written only if
+    p <= kmax + 1, and only on the rows compression keeps (see
     `_differentials`).  The walk keeps one evaluator of V, so each face
     matrix V(delta_pos) is built once, not once per level.
     """
@@ -397,8 +377,8 @@ def degrees(V: FIModule, kmax) -> DegreeProfile:
         raise ValueError("kmax %d is negative" % kmax)
     if kmax > N:
         raise ValueError("kmax %d exceeds truncation %d" % (kmax, N))
-    top, ev = max(kmax + 1, 2), _Injections(V)
-    return _degree_profile(lambda n: fih_chain_complex(V, n, top, ev), N,
+    ev = _Injections(V)
+    return _degree_profile(lambda n: fih_chain_complex(V, n, ev), N,
                            range(kmax + 1))
 
 

@@ -394,21 +394,15 @@ def _eliminate(rows, units_only):
 
 def _rank_of(rows):
     """(rank, pivot columns) of the sparse rows {i: row} handed over, which
-    are consumed: made integer in place and eliminated."""
+    are consumed: made integer in place and eliminated.  The pivot columns
+    are as many as the rank, independent over Q."""
     piv = _eliminate(_own_int_rows(rows), False)[0]
     return len(piv), piv
 
 
-def rank(M, skip=(), pivots=False):
-    """Rank of M, by sparse fraction-free elimination of a copy of its rows.
-
-    The rows whose index is in `skip` (a set) are left out.  With `pivots`,
-    returns (rank, pivot columns): as many columns of M as the rank,
-    independent over Q.
-    """
-    r, piv = _rank_of({i: dict(row) for i, row in enumerate(M.rows)
-                       if row and i not in skip})
-    return (r, piv) if pivots else r
+def rank(M):
+    """Rank of M, by sparse fraction-free elimination of a copy of its rows."""
+    return _rank_of({i: dict(row) for i, row in enumerate(M.rows) if row})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +691,12 @@ def snf(M):
 
 def _divisors_of(rows):
     """(elementary divisors, unit-peel pivots) of the integer rows {i: row}
-    handed over, which the unit peel consumes (see `elementary_divisors`)."""
+    handed over, which the unit peel consumes (see `elementary_divisors`).
+
+    For some unimodular E, the minor of E @ R (R the rows handed over) on
+    the pivot columns and the peeled rows is unimodular.  The residue's
+    pivots are never reported.
+    """
     piv, rows = _eliminate(rows, True)
     divs = [1] * len(piv)
     if rows:
@@ -713,24 +712,17 @@ def _divisors_of(rows):
     return divs, piv
 
 
-def elementary_divisors(M, skip=(), pivots=False):
+def elementary_divisors(M):
     """Nonzero diagonal of the Smith form of M, without transforms.
 
     Unit pivots are peeled off sparsely first (`_eliminate` in unit mode,
     one unit divisor each), on a copy of M's rows.  The dense residue goes
     through `_smith`, the engine of `snf`, with empty transform rows, so it
     takes the same steps as in `snf` and no transform is built.
-
-    The rows whose index is in `skip` (a set) are left out.  With `pivots`,
-    returns (divisors, pivot columns of the unit peel only): for some
-    unimodular E, the minor of E @ M on those columns and the peeled rows
-    is unimodular.  The residue's pivots are never reported.
     """
     if M.ring != ZZ:
         raise ValueError("elementary divisors need a Z matrix")
-    divs, piv = _divisors_of(
-        {i: dict(r) for i, r in enumerate(M.rows) if r and i not in skip})
-    return (divs, piv) if pivots else divs
+    return _divisors_of({i: dict(r) for i, r in enumerate(M.rows) if r})[0]
 
 
 def _bareiss(A):

@@ -16,8 +16,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "bench"))
 import spans  # noqa: E402
 
 import fihom  # noqa: E402
-from fihom import QQ, Matrix, QuotientCoords  # noqa: E402
+from fihom import (  # noqa: E402
+    QQ, ZZ, Matrix, QuotientCoords, fih_chain_complex, hyper_total_complex,
+    representable,
+)
 from fihom import linalg  # noqa: E402
+from fihom.fimodule import _Injections  # noqa: E402
+from fihom.generate import gen_complex  # noqa: E402
 
 
 def bindings():
@@ -46,3 +51,26 @@ def test_tracer_installs_and_restores_every_wrapped_attribute():
     finally:
         tracer.uninstall()
     assert bindings() == before
+
+
+def test_the_traced_counts_read_the_whole_complex():
+    """The tracer's counts for the complex builders, and the total complex's
+    D that the `hyper` workload's oracle reads, are the whole build's on a
+    single-level build and on a level of a walk alike."""
+    V = representable(2, 5, ZZ)
+    cube_count = spans.COUNTS["homology.fih_chain_complex"]
+    for n in range(V.truncation + 1):
+        full = fih_chain_complex(V, n)
+        want = {"cells": sum(full.sizes), "nnz": sum(d.nnz() for d in full.d)}
+        for cpx in (fih_chain_complex(V, n), fih_chain_complex(V, n, _Injections(V))):
+            assert cube_count((V, n), {}, cpx) == want
+    W = gen_complex("spans", ring=ZZ, trunc=4)
+    total_count = spans.COUNTS["complexes.hyper_total_complex"]
+    for n in range(W.truncation + 1):
+        full = hyper_total_complex(W, n)
+        cells = sum(full.sizes.values())
+        walk = hyper_total_complex(W, n, tuple(map(_Injections, W.modules)))
+        for tot in (hyper_total_complex(W, n), walk):
+            assert total_count((W, n), {}, tot) == {"cells": cells}
+            assert tot.D.keys() == set(range(W.q_min + 1, W.q_max + n + 1))
+            assert tot.D == full.D

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+from collections import namedtuple
 from math import comb
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from fihom import (
 from fihom import complexes, fimodule, homology, linalg
 from fihom.fimodule import face_matrices
 from fihom.generate import gen_coker, gen_complex, gen_free, random_fbdata
-from fihom.homology import FIHComplexAt, _check_square_zero, subset_layout
+from fihom.homology import _check_square_zero, subset_layout
 from fihom.linalg import Matrix, block_matrix
 
 
@@ -168,8 +169,12 @@ def old_add_block(rows, r0, c0, blk, scale=1):
                 tgt.pop(c0 + j, None)
 
 
+OldCube = namedtuple("OldCube", "sizes offsets d")
+
+
 def old_fih_chain_complex(V, n):
-    """The cube complex built on its own, one differential at a time."""
+    """The cube complex built on its own, one differential at a time: an
+    OldCube with d[p-1] the differential S_p -> S_{p-1}."""
     if n > V.truncation or n < 0:
         raise ValueError("level %d outside truncation %d" % (n, V.truncation))
     ring = V.ring
@@ -193,8 +198,7 @@ def old_fih_chain_complex(V, n):
     _check_square_zero(dict(enumerate(ds, 1)),
                        "d^2 != 0 at (level %d, degree %%d): structure maps "
                        "violate the FI relations or the sign bookkeeping broke" % n)
-    return FIHComplexAt(V, n, sizes, tuple(ds),
-                        tuple(layouts[p][0] for p in range(n + 1)))
+    return OldCube(sizes, tuple(layouts[p][0] for p in range(n + 1)), tuple(ds))
 
 
 def old_hyper_total_complex(W, n):
@@ -212,7 +216,7 @@ def old_hyper_total_complex(W, n):
         for q in range(W.q_min, W.q_max + 1):
             if 0 <= m - q <= n:
                 offs[(m - q, q)] = off
-                off += rows_[q].size(m - q)
+                off += rows_[q].sizes[m - q]
         layouts[m], sizes[m] = offs, off
     D = {}
     for m in range(m_min + 1, m_max + 1):
@@ -221,7 +225,7 @@ def old_hyper_total_complex(W, n):
         mat_rows = [{} for _ in range(sizes[m - 1])]
         for (p, q), soff in src.items():
             if p >= 1 and (p - 1, q) in tgt:
-                old_add_block(mat_rows, tgt[(p - 1, q)], soff, rows_[q].differential(p))
+                old_add_block(mat_rows, tgt[(p - 1, q)], soff, rows_[q].d[p - 1])
             if (p, q - 1) in tgt:
                 sgn = -1 if p % 2 else 1
                 lvl = W.diff_level(q, n - p)

@@ -1,9 +1,9 @@
-"""The degree window of the cube builder against the full build.
+"""The level walks of `degrees` and `hyper_degrees` against the full build.
 
-`degrees(V, kmax)` builds each level only through degree max(kmax + 1, 2)
-and `hyper_degrees(W, (k_lo, k_hi))` through max(k_hi + 1, q_max + 2).
-old_degrees and old_hyper_degrees are the profiles as they stood before
-the window: every level built whole, every d^2 pair checked.
+A walk level multiplies only the d^2 pairs through total degree q_max + 2
+and writes each higher differential only when homology reads it.
+old_degrees and old_hyper_degrees are the profiles with every level built
+as a single level: every d^2 pair checked.
 """
 
 from pathlib import Path
@@ -25,7 +25,7 @@ from fihom import (
 )
 from fihom import homology
 from fihom.complexes import FIComplex, single_module_complex
-from fihom.fimodule import FIMorphism
+from fihom.fimodule import FIMorphism, _Injections
 from fihom.generate import gen_coker, gen_complex
 from fihom.homology import DegreeProfile
 
@@ -148,7 +148,7 @@ def broken_modules():
                 yield with_transposition(V, n, i, s.scale(2))
 
 
-def test_a_broken_module_raises_like_the_full_build():
+def test_a_broken_module_raises_like_the_full_build(monkeypatch):
     raised = bare = 0
     for B in broken_modules():
         N = B.truncation
@@ -160,10 +160,10 @@ def test_a_broken_module_raises_like_the_full_build():
                 continue
             assert got == want
             raised += 1
-            # the window without d_2 misses relations the walk must check
-            bare += outcome(lambda: homology._degree_profile(
-                lambda n: fih_chain_complex(B, n, kmax + 1), N,
-                range(kmax + 1))) != want
+            # the walk with its d^2 check turned off misses the broken maps
+            with monkeypatch.context() as patch:
+                patch.setattr(homology, "_check_square_zero", lambda D, message: None)
+                bare += outcome(lambda: degrees(B, kmax)) != want
     assert raised > 0 and bare > 0
 
 
@@ -211,33 +211,49 @@ def test_a_broken_complex_raises_like_the_full_build():
 
 
 # ---------------------------------------------------------------------------
-# what the window builds, and what it refuses to read
+# what a walk level writes, and what it reads
 
 
 def test_degrees_with_kmax_1_builds_d1_and_d2_only(monkeypatch):
     V = representable(2, 6, QQ)
-    built = []
-    build = homology.fih_chain_complex
+    built, written = [], [0]
+    build, put = homology.fih_chain_complex, homology._put_block
 
     def tracked(*args):
         cpx = build(*args)
         built.append(cpx)
         return cpx
 
+    def counted(rows, r0, c0, blk, negate=False):
+        put(rows, r0, c0, blk, negate)
+        written[0] += sum(len(r) for i, r in enumerate(blk.rows)
+                          if rows[r0 + i] is not None)
+
     monkeypatch.setattr(homology, "fih_chain_complex", tracked)
+    monkeypatch.setattr(homology, "_put_block", counted)
     degrees(V, 1)
+    monkeypatch.undo()
     assert [c.level for c in built] == list(range(V.truncation + 1))
+    want = 0
     for cpx in built:
-        n = cpx.level
-        full = build(V, n)
-        assert len(cpx.d) == min(n, 2)
-        assert cpx.d == full.d[:2]
-        assert cpx.sizes == full.sizes[:3]
+        full = build(V, cpx.level)
+        want += sum(d.nnz() for d in full.d[:2])
+        assert cpx.d == full.d
+        assert cpx.sizes == full.sizes
+    assert written[0] == want
 
 
-def test_a_windowed_cube_refuses_reads_above_the_window():
+def walk_level_cube(V, n):
+    return fih_chain_complex(V, n, _Injections(V))
+
+
+def walk_level_total(W, n):
+    return hyper_total_complex(W, n, tuple(map(_Injections, W.modules)))
+
+
+def test_a_cube_walk_level_reads_like_the_full_build_in_low_degrees():
     V = representable(1, 5, ZZ)
-    cpx = fih_chain_complex(V, 5, 2)
+    cpx = walk_level_cube(V, 5)
     full = fih_chain_complex(V, 5)
     for p in range(3):
         assert cpx.size(p) == full.size(p)
@@ -246,24 +262,74 @@ def test_a_windowed_cube_refuses_reads_above_the_window():
         assert cpx.boundary_in(p) == full.boundary_in(p)
         assert cpx.homology(p) == full.homology(p)
     assert cpx.differential(2) == full.differential(2)
-    for read in (lambda: cpx.size(3), lambda: cpx.differential(3),
-                 lambda: cpx.boundary_out(3), lambda: cpx.boundary_in(2),
-                 lambda: cpx.homology(2)):
-        with pytest.raises(ValueError, match="above the window"):
-            read()
 
 
-def test_a_windowed_total_complex_refuses_reads_above_the_window():
+def test_a_total_walk_level_reads_like_the_full_build_in_low_degrees():
     W = gen_complex("window:0", ring=ZZ, trunc=4)
     top = W.q_max + 2
-    tot = hyper_total_complex(W, 4, top)
+    tot = walk_level_total(W, 4)
     full = hyper_total_complex(W, 4)
-    assert tot.m_max == top and full.m_max == W.q_max + 4
+    assert tot.m_max == full.m_max == W.q_max + 4
     for m in range(W.q_min - 1, top):
         assert tot.homology(m) == full.homology(m)
         assert tot.boundary_in(m) == full.boundary_in(m)
     assert tot.boundary_out(top) == full.boundary_out(top)
-    for read in (lambda: tot.size(top + 1), lambda: tot.boundary_out(top + 1),
-                 lambda: tot.boundary_in(top), lambda: tot.homology(top)):
-        with pytest.raises(ValueError, match="above the window"):
-            read()
+
+
+def walk_cases(ring):
+    """(kind, whole build, walk level, degrees, q_max): builders of both at
+    every level of cube and total complexes over `ring`."""
+    modules = [representable(2, 5, ring), gen_coker("walk-reads", ring=ring, trunc=5).module]
+    if ring == ZZ:
+        modules.append(doubling_module(5))
+    for V in modules:
+        for n in range(V.truncation + 1):
+            yield ("cube", lambda V=V, n=n: fih_chain_complex(V, n),
+                   lambda V=V, n=n: walk_level_cube(V, n), range(-1, n + 2), 0)
+    for s in range(2):
+        W = gen_complex("walk-reads:%d" % s, ring=ring, trunc=4)
+        for n in range(W.truncation + 1):
+            yield ("total", lambda W=W, n=n: hyper_total_complex(W, n),
+                   lambda W=W, n=n: walk_level_total(W, n),
+                   range(W.q_min - 1, W.q_max + n + 2), W.q_max)
+
+
+def public_reads(kind, C, degs):
+    """Every matrix a caller can read off C: d or D, each differential and
+    each boundary, read in that order."""
+    if kind == "cube":
+        reads = list(C.d) + [C.differential(p) for p in range(1, C.level + 1)]
+    else:
+        reads = list(C.D.values())
+    return reads + [C.boundary_in(m) for m in degs] + [C.boundary_out(m) for m in degs]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_a_walk_level_reads_like_the_whole_build_in_every_degree(ring):
+    above = 0
+    for kind, whole, walk, degs, q_max in walk_cases(ring):
+        # public reads before homology take the d^2 check's matrices;
+        # after it, the eliminations have taken them
+        for homology_first in (False, True):
+            full, cpx = whole(), walk()
+            if homology_first:
+                assert [cpx.homology(m) for m in degs] == [full.homology(m) for m in degs]
+            assert cpx.sizes == full.sizes
+            assert public_reads(kind, cpx, degs) == public_reads(kind, full, degs)
+            for m in degs:
+                assert cpx.size(m) == full.size(m)
+                assert cpx.homology(m) == full.homology(m)
+        above += sum(cpx.size(m) > 0 for m in degs if m > q_max + 2)
+    assert above > 0
+
+
+@pytest.mark.parametrize("build", ["whole", "walk"])
+def test_a_public_read_is_never_aliased(build):
+    for ring in (ZZ, QQ):
+        for kind, whole, walk, degs, _ in walk_cases(ring):
+            C = (whole if build == "whole" else walk)()
+            reads = public_reads(kind, C, degs)
+            before = [[dict(r) for r in M.rows] for M in reads]
+            for m in degs:
+                C.homology(m)
+            assert [[dict(r) for r in M.rows] for M in reads] == before

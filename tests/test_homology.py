@@ -183,47 +183,38 @@ def test_homology_sweep_multiplies_no_matrices(monkeypatch):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_homology_sweep_eliminates_each_differential_once(monkeypatch, order):
-    import fihom.homology as homology_module
-
-    # (kind, matrix, rows handed, pivots returned); the matrices are kept
-    # alive, so ids stay unique
+    # (kind, m, rows handed, pivots returned) for every elimination of D_m
     calls = []
+    reduce = homology._ChainComplex._reduce
 
-    def spy(kind, fn):
-        def wrapped(M, **kw):
-            out = fn(M, **kw)
-            calls.append((kind, M, M.nrows - len(kw.get("skip", ())),
-                          out[1] if kw.get("pivots") else None))
+    def spy(self, m, skip, eliminate):
+        def counted(rows):
+            handed = len(rows)
+            out = eliminate(rows)
+            calls.append((eliminate.__name__, m, handed, out[1]))
             return out
-        return wrapped
+        return reduce(self, m, skip, counted)
 
-    monkeypatch.setattr(homology_module, "rank",
-                        spy("rank", homology_module.rank))
-    monkeypatch.setattr(homology_module, "elementary_divisors",
-                        spy("divisors", homology_module.elementary_divisors))
+    monkeypatch.setattr(homology._ChainComplex, "_reduce", spy)
     dropped = 0
     for build, degs in built_complexes():
         C = build()
-        stored = C.d if hasattr(C, "d") else tuple(C.D.values())
-        index = {id(d): i for i, d in enumerate(stored)}
         del calls[:]
         for m in in_order(degs, order):
             C.homology(m)
-        # a zero map that is not stored has one shape per kind in a sweep
-        keys = [(kind, index.get(id(M), M.shape)) for kind, M, _, _ in calls]
+        keys = [(kind, m) for kind, m, _, _ in calls]
         assert len(keys) == len(set(keys))
         if order == "ascending":
             # rank comes from cached divisors: one elimination per map
-            differentials = [key for _, key in keys]
+            differentials = [m for _, m in keys]
             assert len(differentials) == len(set(differentials))
-            # each stored D_{m+1} is handed the size(m) - |pivots of D_m|
-            # rows that the map below it leaves (stored[i - 1] is D_m)
-            pivots = {index.get(id(M)): piv for _, M, _, piv in calls}
-            for _, M, handed, _ in calls:
-                i = index.get(id(M))
-                if i is not None:
-                    assert handed == M.nrows - len(pivots.get(i - 1, ()))
-                    dropped += M.nrows - handed
+            # each D_{m+1} is handed the nonzero rows that the pivots of
+            # D_m leave
+            pivots = {m: set(piv) for _, m, _, piv in calls}
+            for _, m, handed, _ in calls:
+                rows = [i for i, r in enumerate(C.boundary_out(m).rows) if r]
+                assert handed == len(set(rows) - pivots.get(m - 1, set()))
+                dropped += len(rows) - handed
     if order == "ascending":
         assert dropped > 0
 

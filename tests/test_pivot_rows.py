@@ -18,9 +18,10 @@ from fihom import (
     AbelianClass, Matrix, QQ, ZZ, direct_sum, elementary_divisors,
     fih_chain_complex, homology_class, hyper_total_complex, rank, representable,
 )
-from fihom.complexes import TotalComplexAt
 from fihom.generate import gen_coker, gen_complex
+from fihom.homology import _ChainComplex
 from fihom.io import parse
+from fihom.linalg import _divisors_of, _rank_of
 
 from test_homology import ORDERS, doubling_module, in_order
 
@@ -115,10 +116,20 @@ def test_families_reach_z_torsion(family):
     assert torsion > 0
 
 
+def explicit_complex(ring, sizes, D):
+    """The chain complex with dim C_m = sizes[m] and D_m = D[m]."""
+    return _ChainComplex(ring, sizes, lambda m, skip=(): [dict(r) for r in D[m].rows], {})
+
+
+def row_dicts(M, skip=()):
+    """M's nonzero rows {i: row}, copied, those in `skip` left out."""
+    return {i: dict(r) for i, r in enumerate(M.rows) if r and i not in skip}
+
+
 def two_step(ring):
     """D_1 = [[2, 3]], D_2 = [[3], [-2]]: H_1 = 0, and D_1 has no unit pivot."""
     D = {1: Matrix.from_rows(ring, [[2, 3]]), 2: Matrix.from_rows(ring, [[3], [-2]])}
-    return TotalComplexAt(0, 0, 2, {0: 1, 1: 2, 2: 1}, D, ring)
+    return explicit_complex(ring, {0: 1, 1: 2, 2: 1}, D)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -129,8 +140,8 @@ def test_a_non_unit_pivot_never_drops_rows_for_the_divisors(ring, order):
     assert got == {-1: AbelianClass(0), 0: AbelianClass(0), 1: AbelianClass(0),
                    2: AbelianClass(0), 3: AbelianClass(0)}
     # dropping row 0 by rank's pivot of D_1 would report Z/2
-    assert rank(C.D[1], pivots=True) == (1, [0])
-    assert elementary_divisors(two_step(ZZ).D[2], skip={0}) == [2]
+    assert _rank_of(row_dicts(C.boundary_out(1))) == (1, [0])
+    assert _divisors_of(row_dicts(two_step(ZZ).boundary_out(2), {0}))[0] == [2]
 
 
 def test_rank_pivots_of_the_map_below_leave_the_divisors_whole():
@@ -233,7 +244,7 @@ def test_unimodular_conjugates_of_elementary_complexes(case):
         assert (D[m - 1] @ D[m]).is_zero()
     for ring in (ZZ, QQ):
         Dr = {m: d.to_ring(ring) for m, d in D.items()}
-        C = TotalComplexAt(0, 0, L, dict(enumerate(sizes)), Dr, ring)
+        C = explicit_complex(ring, dict(enumerate(sizes)), Dr)
         got = {m: C.homology(m) for m in in_order(range(L + 1), order)}
         for m, want in expected.items():
             assert got[m] == (want if ring == ZZ else AbelianClass(want.rank))
