@@ -17,7 +17,7 @@ from .fimodule import (
 )
 from .complexes import FIComplex, complex_from_morphisms
 from .io import serialize
-from .linalg import Matrix, QQ, ZZ, _coerce, _put_block, kernel_basis
+from .linalg import Matrix, QQ, ZZ, _coerce, block_matrix, kernel_basis
 
 MAX_TRUNCATION = 6
 MAX_FB_DIM = 4
@@ -72,18 +72,17 @@ def _summand_trans(label, ring, k, i):
     raise ValueError(label)
 
 
-def random_fbdata(rng, ring, trunc, top=None, dim_cap=MAX_FB_DIM) -> FBData:
-    """FB-data with honest S_k-actions built from small standard summands."""
+def random_fbdata(rng, ring, trunc, top=None) -> FBData:
+    """FB-data with honest S_k-actions built from small standard summands,
+    of dimension at most MAX_FB_DIM in each cardinality up to `top`."""
     _guard(trunc)
-    if not (1 <= dim_cap <= MAX_FB_DIM):
-        raise ValueError("dim cap must lie in 1..%d" % MAX_FB_DIM)
     if top is None:
         top = min(trunc, 3)
     labels = []
     for k in range(trunc + 1):
         picks = []
         if k <= top:
-            budget = dim_cap
+            budget = MAX_FB_DIM
             for _ in range(rng.randint(0, 2)):
                 cands = [(lb, d) for lb, d in _summand_menu(k) if d <= budget]
                 if not cands:
@@ -94,22 +93,16 @@ def random_fbdata(rng, ring, trunc, top=None, dim_cap=MAX_FB_DIM) -> FBData:
         labels.append(picks)
     if all(not p for p in labels):
         labels[rng.randint(0, top)] = ["trivial"]
-    dims = []
-    for k, picks in enumerate(labels):
-        dims.append(sum(dict(_summand_menu(k))[lb] for lb in picks))
+    sizes = [[dict(_summand_menu(k))[lb] for lb in picks]
+             for k, picks in enumerate(labels)]
     trans = []
-    for k in range(trunc + 1):
-        mats = []
-        for i in range(1, k):
-            blocks = [_summand_trans(lb, ring, k, i) for lb in labels[k]]
-            rows = [{} for _ in range(dims[k])]
-            off = 0
-            for blk in blocks:
-                _put_block(rows, off, off, blk)
-                off += blk.nrows
-            mats.append(Matrix(ring, dims[k], dims[k], rows))
-        trans.append(tuple(mats))
-    return FBData(ring, trunc, tuple(dims), tuple(trans))
+    for k, picks in enumerate(labels):
+        trans.append(tuple(
+            block_matrix(ring, sizes[k], sizes[k],
+                         {(b, b): _summand_trans(lb, ring, k, i)
+                          for b, lb in enumerate(picks)})
+            for i in range(1, k)))
+    return FBData(ring, trunc, tuple(map(sum, sizes)), tuple(trans))
 
 
 def gen_free(seed, ring=ZZ, trunc=4, dims=None):

@@ -38,11 +38,13 @@ class _ChainComplex:
     built for the d^2 check: its first reader takes it, and each later read
     writes D_m again, so no two readers share a row.  Both subclasses
     (`FIHComplexAt`, `TotalComplexAt`) write from one `_Cube` layout by
-    `_cube_total`, and `_differentials` runs their d^2 check.  The
-    invariants of each differential are computed once per object and
-    cached: over Z the elementary divisors of the map into C_m, over Q its
-    rank.  The rank of the map out of C_m is the count of its divisors once
-    they are known, so a sweep in ascending m eliminates each map once.
+    `_cube_total`, and `_differentials` runs their d^2 check.
+
+    The ring fixes one elimination and one invariant per differential:
+    over Q `_rank_of` and the rank of D_m, over Z `_divisors_of` and the
+    elementary divisors of D_m, whose count is its rank.  Each D_m is
+    eliminated at most once per object, in any order of reads, and its
+    invariant cached.
 
     Each elimination also keeps its pivot columns.  When D_m has already
     been eliminated, D_{m+1} is eliminated only on the rows of C_m that are
@@ -52,19 +54,18 @@ class _ChainComplex:
     q_max + 2 ((d_1, d_2) for a cube complex), which, the levels below it
     having passed, proves D_m @ D_{m+1} = 0 in every degree it reads (see
     `_differentials`).
-      - Over Q (and for the rank over Z), P is a set of independent columns
-        of D_m, so ker D_m meets span(e_P) in 0.  im D_{m+1} lies in
-        ker D_m, so leaving out the P rows keeps the rank.
-      - Over Z, P must be the pivots of the unit peel of
-        `_divisors_of`: then E @ D_m has a unimodular P-minor for
-        some unimodular E, so on ker D_m the P coordinates are an integral
-        function of the others, and a unimodular change of basis of C_m
-        sends D_{m+1} to [0; D_{m+1} without the P rows].  The elementary
-        divisors are unchanged.
-      - Pivots of `_rank_of`'s mixed elimination, or of the dense Smith
-        residue, never drop rows for the divisors.  With D_m = [[2, 3]] and
-        D_{m+1} = [[3], [-2]], H_m = 0, but dropping row 0 by the non-unit
-        pivot 2 would leave [[-2]] and report Z/2.
+      - Over Q, P is a set of independent columns of D_m, so ker D_m meets
+        span(e_P) in 0.  im D_{m+1} lies in ker D_m, so leaving out the P
+        rows keeps the rank.
+      - Over Z, P is the pivots of the unit peel of `_divisors_of`: then
+        E @ D_m has a unimodular P-minor for some unimodular E, so on
+        ker D_m the P coordinates are an integral function of the others,
+        and a unimodular change of basis of C_m sends D_{m+1} to
+        [0; D_{m+1} without the P rows].  The elementary divisors are
+        unchanged.  `_divisors_of` never reports the pivots of its dense
+        Smith residue: with D_m = [[2, 3]] and D_{m+1} = [[3], [-2]],
+        H_m = 0, but dropping row 0 by the non-unit pivot 2 would leave
+        [[-2]] and report Z/2.
     Leaving out rows keeps ker D_{m+1}, so pivots found on the shortened
     D_{m+1} are valid in turn for D_{m+2}.  Pivots are used only when the
     map below was eliminated anyway, so the results agree in any order.
@@ -79,9 +80,9 @@ class _ChainComplex:
         self._sizes = sizes       # m -> dim C_m
         self._write = write       # (m, skip) -> the rows of D_m
         self._checked = checked   # m -> D_m from the d^2 check, until read
-        self._ranks, self._divs = {}, {}
-        self._pivots = {}   # m -> `_rank_of` pivots of D_m
-        self._units = {}    # m -> unit-peel pivots of D_m
+        self._eliminate = _rank_of if ring == QQ else _divisors_of
+        self._invariants = {}     # m -> rank (Q) or divisors (Z) of D_m
+        self._pivots = {}         # m -> pivot columns of D_m
 
     def _rows(self, m, skip=()):
         """The rows of D_m for the caller to keep (rows in `skip` may be
@@ -110,39 +111,26 @@ class _ChainComplex:
         d = self._diff(m + 1)
         return Matrix.zeros(self._ring, self.size(m), 0) if d is None else d
 
-    def _reduce(self, m, skip, eliminate):
-        """eliminate({i: row}) on the nonzero rows of D_m outside `skip`,
-        which it takes over."""
-        rows = self._rows(m, skip) or ()
-        return eliminate({i: r for i, r in enumerate(rows) if r and i not in skip})
-
-    def _rank(self, m):
-        """rank D_m: the length of its divisors when known, else `_rank_of`
-        on the rows left by any known pivots of D_{m-1}."""
-        if m in self._divs:
-            return len(self._divs[m])
-        if m not in self._ranks:
-            below = self._pivots.get(m - 1) or self._units.get(m - 1, ())
-            self._ranks[m], piv = self._reduce(m, below, _rank_of)
+    def _invariant(self, m):
+        """The rank (Q) or elementary divisors (Z) of D_m, from one
+        elimination of the nonzero rows that the pivots of D_{m-1} leave
+        when D_{m-1} was eliminated first."""
+        if m not in self._invariants:
+            skip = self._pivots.get(m - 1, ())
+            rows = self._rows(m, skip) or ()
+            self._invariants[m], piv = self._eliminate(
+                {i: r for i, r in enumerate(rows) if r and i not in skip})
             self._pivots[m] = set(piv)
-        return self._ranks[m]
-
-    def _divisors(self, m):
-        """Elementary divisors of D_m, on the rows left by the unit-peel
-        pivots of D_{m-1} when those are known."""
-        if m not in self._divs:
-            self._divs[m], piv = self._reduce(
-                m, self._units.get(m - 1, ()), _divisors_of)
-            self._units[m] = set(piv)
-        return self._divs[m]
+        return self._invariants[m]
 
     def homology(self, m):
         if self.size(m) == 0:
             return AbelianClass(0)
+        # D_m first, so D_{m+1} is eliminated on the rows its pivots leave
+        out, into = self._invariant(m), self._invariant(m + 1)
         if self._ring == QQ:
-            return _abelian_class(self.size(m), self._rank(m), self._rank(m + 1))
-        divs = self._divisors(m + 1)
-        return _abelian_class(self.size(m), self._rank(m), len(divs), divs)
+            return _abelian_class(self.size(m), out, into)
+        return _abelian_class(self.size(m), len(out), len(into), into)
 
 
 def _check_square_zero(D, message):

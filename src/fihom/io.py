@@ -150,39 +150,40 @@ def _read_matrix(cur, ring, nrows, ncols, what):
     return Matrix(ring, nrows, ncols, rows)
 
 
-def _expect(cur, prefix):
+def _expect(cur, key):
+    """The tokens after `key` on the next line, whose first token it must be."""
     line = cur.next()
-    if line != prefix and not line.startswith(prefix + " "):
-        raise ParseError(cur.line_no - 1, "expected %r, got %r" % (prefix, line))
-    return line
+    toks = line.split()
+    if toks[0] != key:
+        raise ParseError(cur.line_no - 1, "expected %r, got %r" % (key, line))
+    return toks[1:]
+
+
+def _value(cur, key, convert=str, bad=None):
+    """convert(value) of the next line, `key value`; ParseError(bad) if
+    that raises ValueError."""
+    toks = _expect(cur, key)
+    if not toks:
+        raise ParseError(cur.line_no - 1, "%r needs a value" % key)
+    try:
+        return convert(toks[0])
+    except ValueError:
+        raise ParseError(cur.line_no - 1, bad)
 
 
 def _parse_module_body(cur, terminator):
     """Fields of one module, from 'name'/'ring' until the terminator line."""
     name = ""
-    line = cur.next()
-    if line.startswith("name "):
-        name = line[5:].strip()
-        line = cur.next()
-    if not line.startswith("ring "):
-        raise ParseError(cur.line_no - 1, "expected 'ring', got %r" % line)
-    ring = line.split()[1]
+    if (cur.peek() or "").startswith("name "):
+        name = cur.next()[5:].strip()
+    ring = _value(cur, "ring")
     if ring not in RINGS:
         raise ParseError(cur.line_no - 1, "unknown ring %r" % ring)
-    line = cur.next()
-    if not line.startswith("truncation "):
-        raise ParseError(cur.line_no - 1, "expected 'truncation', got %r" % line)
-    try:
-        N = int(line.split()[1])
-    except ValueError:
-        raise ParseError(cur.line_no - 1, "bad truncation")
+    N = _value(cur, "truncation", int, "bad truncation")
     if N < 0:
         raise ParseError(cur.line_no - 1, "negative truncation")
-    line = cur.next()
-    if not line.startswith("dims"):
-        raise ParseError(cur.line_no - 1, "expected 'dims', got %r" % line)
     try:
-        dims = tuple(int(t) for t in line.split()[1:])
+        dims = tuple(int(t) for t in _expect(cur, "dims"))
     except ValueError:
         raise ParseError(cur.line_no - 1, "bad dims entry")
     if any(d < 0 for d in dims):
@@ -226,15 +227,11 @@ def parse_module(text) -> FIModule:
 def parse_complex(text) -> FIComplex:
     cur = _Cursor(text)
     _expect(cur, "ficomplex")
-    ring = _expect(cur, "ring").split()[1]
+    ring = _value(cur, "ring")
     if ring not in RINGS:
         raise ParseError(cur.line_no - 1, "unknown ring %r" % ring)
-    try:
-        N = int(_expect(cur, "truncation").split()[1])
-        q_min = int(_expect(cur, "qmin").split()[1])
-        count = int(_expect(cur, "modules").split()[1])
-    except ValueError:
-        raise ParseError(cur.line_no - 1, "bad integer field")
+    N, q_min, count = (_value(cur, key, int, "bad integer field")
+                       for key in ("truncation", "qmin", "modules"))
     if count < 1:
         raise ParseError(cur.line_no - 1, "need at least one module")
     modules = []

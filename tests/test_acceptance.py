@@ -42,8 +42,7 @@ def test_criterion_01_free_modules_have_free_homology():
     for i in range(100):
         ring = QQ if i % 2 else ZZ
         trunc = rng.randint(1, 6)
-        X = random_fbdata(random.Random("acc:1:%d" % i), ring, trunc,
-                          dim_cap=3)
+        X = random_fbdata(random.Random("acc:1:%d" % i), ring, trunc)
         V = free_fi_module(X)
         for n in range(trunc + 1):
             C = fih_chain_complex(V, n)

@@ -1,5 +1,8 @@
 """The command line surface: exit codes, output formats, file handling."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +82,15 @@ def test_validate_negative_dims_is_verification_failure(capsys, tmp_path, text):
     assert code == EXIT_FAIL
     assert "negative dims" in err
     assert "ok" not in out
+
+
+def test_python_m_fihom_runs_the_command_line(capsys, m2_file):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "fihom", "validate", m2_file],
+                          env=env, capture_output=True, text=True, timeout=120)
+    code, out, _ = run(capsys, ["validate", m2_file])
+    assert done.returncode == code == EXIT_OK
+    assert done.stdout == out
 
 
 def test_module_command_rejects_complex_file(capsys, complex_file):

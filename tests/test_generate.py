@@ -5,23 +5,15 @@ import random
 import pytest
 
 from fihom import QQ, ZZ, parse, run_all, run_suite, validate
-from fihom.generate import gen_coker, gen_free, random_fbdata
+from fihom.generate import MAX_FB_DIM, gen_coker, gen_free, random_fbdata
 from fihom.verify import SUITES, SuiteReport
 
 
 def test_random_fbdata_respects_dim_cap():
     for s in range(10):
         rng = random.Random("cap:%d" % s)
-        X = random_fbdata(rng, QQ, trunc=4, dim_cap=2)
-        assert all(d <= 2 for d in X.dims)
-
-
-def test_random_fbdata_dim_cap_guard():
-    rng = random.Random("x")
-    with pytest.raises(ValueError, match="dim cap"):
-        random_fbdata(rng, ZZ, trunc=3, dim_cap=0)
-    with pytest.raises(ValueError, match="dim cap"):
-        random_fbdata(rng, ZZ, trunc=3, dim_cap=9)
+        X = random_fbdata(rng, QQ, trunc=4)
+        assert all(d <= MAX_FB_DIM for d in X.dims)
 
 
 def test_gen_free_actions_are_honest():

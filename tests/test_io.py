@@ -20,6 +20,7 @@ from fihom import (
     serialize,
     validate,
 )
+from fihom.cli import EXIT_FAIL, main
 from fihom.generate import gen_coker, gen_complex, gen_free
 
 
@@ -165,6 +166,35 @@ def test_negative_dims_entry_is_a_parse_error(text, line_no):
     with pytest.raises(ParseError, match="negative dims") as err:
         parse(text)
     assert err.value.line_no == line_no
+
+
+HEADERS = {
+    "module": "fimodule\nring Z\ntruncation 0\ndims 1\nend\n",
+    "complex": "ficomplex\nring Z\ntruncation 0\nqmin 0\nmodules 1\nmodule 0\n"
+               "ring Z\ntruncation 0\ndims 1\nendmodule\nend\n",
+}
+BARE_KEYS = ([("module", i) for i in (1, 2, 3)]
+             + [("complex", i) for i in (1, 2, 3, 4, 6, 7, 8)])
+
+
+@pytest.mark.parametrize("kind, idx", BARE_KEYS, ids=[
+    "%s-line%d-%s" % (kind, i + 1, HEADERS[kind].split("\n")[i].split()[0])
+    for kind, i in BARE_KEYS])
+def test_a_bare_header_key_is_a_parse_error_on_its_line(tmp_path, capsys, kind, idx):
+    """A header line `key` without its value, in a module or a complex file."""
+    text = HEADERS[kind]
+    lines = text.splitlines()
+    key = lines[idx].split()[0]
+    lines[idx] = key
+    bare = "\n".join(lines) + "\n"
+    parse(text)
+    with pytest.raises(ParseError, match=key) as err:
+        parse(bare)
+    assert err.value.line_no == idx + 1
+    path = tmp_path / "bare.txt"
+    path.write_text(bare)
+    assert main(["validate", str(path)]) == EXIT_FAIL
+    assert "line %d: " % (idx + 1) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

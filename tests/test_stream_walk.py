@@ -182,7 +182,7 @@ def test_the_walk_writes_no_entry_into_rows_the_pivots_below_remove(monkeypatch)
         for cpx in walked:
             full = fih_chain_complex(V, cpx.level)
             for p in range(1, min(cpx.level, 4) + 1):
-                below = (cpx._units if V.ring == ZZ else cpx._pivots).get(p - 1, set())
+                below = cpx._pivots.get(p - 1, set())
                 dropped = () if p <= 2 else below
                 rows = full.differential(p).rows
                 want += sum(len(r) for i, r in enumerate(rows) if i not in dropped)
