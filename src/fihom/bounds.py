@@ -404,6 +404,8 @@ def conf_bounds(p, d, variant="stated", n=None) -> BoundReport:
         raise ValueError("need degree p >= 2")
     if variant not in ("stated", "body"):
         raise ValueError("variant must be stated or body")
+    if n is not None and n < 1:
+        raise ValueError("need cube dimension n >= 1")
     num = (p - 1) if variant == "stated" else p
     m = -(-num // (d - 2))
     cart = None if n is None else (n - 1) * (d - 2) + 1

@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success / all checks pass, 1 = usage error (bad flags or
 argument values), 2 = verification failure (unparseable or invalid input
-files, failed verify suites).  Output format switches between `plain`
-and `kv` (logfmt-style key=value tokens) via the FIHOM_FORMAT variable.
+files, output files that cannot be written, failed verify suites).
+Output format switches between `plain` and `kv` (logfmt-style key=value
+tokens) via the FIHOM_FORMAT variable.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ EXIT_FAIL = 2
 
 
 class _FileProblem(Exception):
-    """Input file failed to parse or validate: exit 2, not a usage error."""
+    """Input file failed to parse or validate, or an output file could not
+    be written: exit 2, not a usage error."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,6 +68,15 @@ def _load(path, want=None):
     if want is not None and not isinstance(obj, want):
         raise _FileProblem("%s: expected a %s file" % (path, want.__name__.lower()))
     return obj
+
+
+def _write(path, *parts):
+    """Write the text parts to path; an OSError is a file problem."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(parts)
+    except OSError as e:
+        raise _FileProblem(str(e))
 
 
 def _count(text):
@@ -270,8 +281,11 @@ def _cmd_bounds(args, fmt):
     else:  # goingup
         pi = {}
         for tok in args.pi.split(","):
-            k, j, v = (t.strip() for t in tok.split(":"))
-            pi[(int(k), int(j))] = _parse_int(v)
+            try:
+                k, j, v = (t.strip() for t in tok.split(":"))
+                pi[(int(k), int(j))] = _parse_int(v)
+            except ValueError:
+                raise ValueError("bad --pi entry %r: expected k:j:value" % tok.strip())
         val = going_up_bound(pi, args.k)
         _emit(fmt, [("k", args.k), ("bound", val)],
               ["t_%d bound = %s" % (args.k, val)])
@@ -319,8 +333,7 @@ def _cmd_gen(args, fmt):
     text = generate(args.kind, args.seed, ring=args.ring, trunc=args.trunc,
                     dims=dims)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -337,9 +350,7 @@ def _cmd_verify(args, fmt):
             if artifact:
                 path = os.path.join(args.dump_dir,
                                     "fihom-counterexample-%s-%d.txt" % (name, i))
-                with open(path, "w") as fh:
-                    fh.write("# %s\n" % label)
-                    fh.write(artifact)
+                _write(path, "# %s\n" % label, artifact)
                 print("counterexample written to %s" % path)
     return EXIT_OK if ok else EXIT_FAIL
 

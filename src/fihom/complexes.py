@@ -18,11 +18,12 @@ from .fimodule import (
     validate_morphism, zero_module,
 )
 from .homology import (
-    DegreeProfile, _ChainComplex, _Cube, _cube_total, _degree_profile,
-    _differentials, fih_chain_complex,
+    DegreeProfile, _Cube, _cube_total, _degree_profile, _differentials,
+    fih_chain_complex,
 )
 from .linalg import (
-    AbelianClass, Matrix, QQ, QuotientCoords, _put_block, block_matrix, rank,
+    AbelianClass, Matrix, QQ, QuotientCoords, _ChainComplex, _put_block,
+    block_matrix, rank,
 )
 
 

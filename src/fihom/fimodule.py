@@ -22,8 +22,8 @@ from math import factorial
 from typing import Optional
 
 from .linalg import (
-    Matrix, QQ, ZZ, QuotientCoords, _put_block, _snf, block_matrix,
-    homology_class,
+    AbelianClass, Matrix, QQ, ZZ, QuotientCoords, _ChainComplex, _put_block,
+    _snf, block_matrix,
 )
 
 
@@ -653,16 +653,18 @@ def _poset_presentation(V, n, K):
 def colim_compare(V: FIModule, n, K):
     """(class of colim_{|S| <= K} V(S), is the map to V(n_) an iso?).
 
-    The colimit is presented by the covering-pair relations; the
-    comparison is an isomorphism iff it is onto with zero homology
-    against the presentation (checked as exact AbelianClass vanishing).
+    The colimit is coker P for the covering-pair relations P, mapped to
+    V(n_) by c.  The complex  . --P--> (+) V(S) --c--> V(n_)  eliminates c
+    and P once each; the map is an iso iff H_0 = coker c and H_1 vanish.
+    As im c lies in the free V(n_), 0 -> H_1 -> coker P -> im c -> 0
+    splits: the colimit is H_1 (+) free of rank dim V(n_) - rank H_0.
     """
     if K < 0:
         raise ValueError("cutoff K must be >= 0")
     if n > V.truncation:
         raise ValueError("level exceeds truncation")
     P, c = _poset_presentation(V, n, K)
-    colim = homology_class(P, Matrix.zeros(V.ring, 0, P.nrows))
-    middle = homology_class(P, c)
-    onto = homology_class(c, Matrix.zeros(V.ring, 0, c.nrows))
+    cpx = _ChainComplex.of({1: c, 2: P})
+    onto, middle = cpx.homology(0), cpx.homology(1)
+    colim = AbelianClass(middle.rank + V.dims[n] - onto.rank, middle.torsion)
     return colim, middle.is_zero() and onto.is_zero()

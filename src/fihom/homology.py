@@ -18,119 +18,12 @@ from functools import partial
 from .fimodule import (
     FIModule, _Injections, _layout, face_matrices, fi_coker, shift_module,
 )
-from .linalg import (
-    AbelianClass, Matrix, QQ, _abelian_class, _divisors_of, _put_block,
-    _rank_of, rank,
-)
+from .linalg import AbelianClass, Matrix, QQ, _ChainComplex, _put_block, rank
 
 
 def subset_layout(V, n, size):
     """(offsets dict S -> column offset, total dim) for (+)_{|S|=size} V(S)."""
     return _layout(V.dims, n, (size,))
-
-
-class _ChainComplex:
-    """Homology of a chain complex C_m with differentials D_m: C_m -> C_{m-1}.
-
-    `sizes` maps m to dim C_m, and D_m exists where C_{m-1} and C_m do.
-    `write(m, skip)` returns the rows of D_m as a fresh list, where rows
-    whose index is in `skip` may be left None.  `checked` maps m to the D_m
-    built for the d^2 check: its first reader takes it, and each later read
-    writes D_m again, so no two readers share a row.  Both subclasses
-    (`FIHComplexAt`, `TotalComplexAt`) write from one `_Cube` layout by
-    `_cube_total`, and `_differentials` runs their d^2 check.
-
-    The ring fixes one elimination and one invariant per differential:
-    over Q `_rank_of` and the rank of D_m, over Z `_divisors_of` and the
-    elementary divisors of D_m, whose count is its rank.  Each D_m is
-    eliminated at most once per object, in any order of reads, and its
-    invariant cached.
-
-    Each elimination also keeps its pivot columns.  When D_m has already
-    been eliminated, D_{m+1} is eliminated only on the rows of C_m that are
-    not pivot columns P of D_m, which cuts its rows to dim ker D_m.  This
-    rests on D_m @ D_{m+1} = 0.  A whole build multiplies every pair; a
-    level of the degree walk multiplies only the pairs through total degree
-    q_max + 2 ((d_1, d_2) for a cube complex), which, the levels below it
-    having passed, proves D_m @ D_{m+1} = 0 in every degree it reads (see
-    `_differentials`).
-      - Over Q, P is a set of independent columns of D_m, so ker D_m meets
-        span(e_P) in 0.  im D_{m+1} lies in ker D_m, so leaving out the P
-        rows keeps the rank.
-      - Over Z, P is the pivots of the unit peel of `_divisors_of`: then
-        E @ D_m has a unimodular P-minor for some unimodular E, so on
-        ker D_m the P coordinates are an integral function of the others,
-        and a unimodular change of basis of C_m sends D_{m+1} to
-        [0; D_{m+1} without the P rows].  The elementary divisors are
-        unchanged.  `_divisors_of` never reports the pivots of its dense
-        Smith residue: with D_m = [[2, 3]] and D_{m+1} = [[3], [-2]],
-        H_m = 0, but dropping row 0 by the non-unit pivot 2 would leave
-        [[-2]] and report Z/2.
-    Leaving out rows keeps ker D_{m+1}, so pivots found on the shortened
-    D_{m+1} are valid in turn for D_{m+2}.  Pivots are used only when the
-    map below was eliminated anyway, so the results agree in any order.
-
-    Every elimination takes its rows over: those of the d^2 check's D_m
-    if no one has read it, else only the rows it keeps, written now.  A
-    public read (`differential`, `d`, `D`, the boundaries) gets D_m whole.
-    """
-
-    def __init__(self, ring, sizes, write, checked):
-        self._ring = ring
-        self._sizes = sizes       # m -> dim C_m
-        self._write = write       # (m, skip) -> the rows of D_m
-        self._checked = checked   # m -> D_m from the d^2 check, until read
-        self._eliminate = _rank_of if ring == QQ else _divisors_of
-        self._invariants = {}     # m -> rank (Q) or divisors (Z) of D_m
-        self._pivots = {}         # m -> pivot columns of D_m
-
-    def _rows(self, m, skip=()):
-        """The rows of D_m for the caller to keep (rows in `skip` may be
-        None), or None where there is no D_m."""
-        if m - 1 not in self._sizes or m not in self._sizes:
-            return None
-        d = self._checked.pop(m, None)
-        return self._write(m, skip) if d is None else d.rows
-
-    def _diff(self, m):
-        """D_m whole, or None."""
-        rows = self._rows(m)
-        return None if rows is None else Matrix(
-            self._ring, self._sizes[m - 1], self._sizes[m], rows)
-
-    def size(self, m):
-        return self._sizes.get(m, 0)
-
-    def boundary_out(self, m):
-        """The map out of C_m (a 0-row zero matrix where there is none)."""
-        d = self._diff(m)
-        return Matrix.zeros(self._ring, 0, self.size(m)) if d is None else d
-
-    def boundary_in(self, m):
-        """The map into C_m (a 0-column zero matrix where there is none)."""
-        d = self._diff(m + 1)
-        return Matrix.zeros(self._ring, self.size(m), 0) if d is None else d
-
-    def _invariant(self, m):
-        """The rank (Q) or elementary divisors (Z) of D_m, from one
-        elimination of the nonzero rows that the pivots of D_{m-1} leave
-        when D_{m-1} was eliminated first."""
-        if m not in self._invariants:
-            skip = self._pivots.get(m - 1, ())
-            rows = self._rows(m, skip) or ()
-            self._invariants[m], piv = self._eliminate(
-                {i: r for i, r in enumerate(rows) if r and i not in skip})
-            self._pivots[m] = set(piv)
-        return self._invariants[m]
-
-    def homology(self, m):
-        if self.size(m) == 0:
-            return AbelianClass(0)
-        # D_m first, so D_{m+1} is eliminated on the rows its pivots leave
-        out, into = self._invariant(m), self._invariant(m + 1)
-        if self._ring == QQ:
-            return _abelian_class(self.size(m), out, into)
-        return _abelian_class(self.size(m), len(out), len(into), into)
 
 
 def _check_square_zero(D, message):

@@ -159,6 +159,14 @@ def _expect(cur, key):
     return toks[1:]
 
 
+def _line(cur, want):
+    """Consume the next line, which must read `want` exactly; return it."""
+    line = cur.next()
+    if line != want:
+        raise ParseError(cur.line_no - 1, "expected %r, got %r" % (want, line))
+    return line
+
+
 def _value(cur, key, convert=str, bad=None):
     """convert(value) of the next line, `key value`; ParseError(bad) if
     that raises ValueError."""
@@ -194,23 +202,16 @@ def _parse_module_body(cur, terminator):
                          % (len(dims), N, N + 1))
     iotas = []
     for n in range(N):
-        head = cur.next()
-        if head != "iota %d" % n:
-            raise ParseError(cur.line_no - 1, "expected 'iota %d', got %r" % (n, head))
-        iotas.append(_read_matrix(cur, ring, dims[n + 1], dims[n], "iota %d" % n))
+        iotas.append(_read_matrix(cur, ring, dims[n + 1], dims[n],
+                                  _line(cur, "iota %d" % n)))
     trans = []
     for n in range(N + 1):
         mats = []
         for i in range(1, n):
-            head = cur.next()
-            if head != "trans %d %d" % (n, i):
-                raise ParseError(cur.line_no - 1,
-                                 "expected 'trans %d %d', got %r" % (n, i, head))
-            mats.append(_read_matrix(cur, ring, dims[n], dims[n], "trans %d %d" % (n, i)))
+            mats.append(_read_matrix(cur, ring, dims[n], dims[n],
+                                     _line(cur, "trans %d %d" % (n, i))))
         trans.append(tuple(mats))
-    tail = cur.next()
-    if tail != terminator:
-        raise ParseError(cur.line_no - 1, "expected %r, got %r" % (terminator, tail))
+    _line(cur, terminator)
     return FIModule(ring, N, dims, tuple(iotas), tuple(trans), name=name)
 
 
@@ -236,10 +237,7 @@ def parse_complex(text) -> FIComplex:
         raise ParseError(cur.line_no - 1, "need at least one module")
     modules = []
     for t in range(count):
-        head = cur.next()
-        if head != "module %d" % (q_min + t):
-            raise ParseError(cur.line_no - 1,
-                             "expected 'module %d', got %r" % (q_min + t, head))
+        _line(cur, "module %d" % (q_min + t))
         V = _parse_module_body(cur, "endmodule")
         if V.ring != ring or V.truncation != N:
             raise ParseError(cur.line_no - 1,
@@ -250,17 +248,11 @@ def parse_complex(text) -> FIComplex:
         q = q_min + t + 1
         levels = []
         for n in range(N + 1):
-            head = cur.next()
-            if head != "diff %d level %d" % (q, n):
-                raise ParseError(cur.line_no - 1,
-                                 "expected 'diff %d level %d', got %r" % (q, n, head))
             levels.append(_read_matrix(cur, ring, modules[t].dims[n],
                                        modules[t + 1].dims[n],
-                                       "diff %d level %d" % (q, n)))
+                                       _line(cur, "diff %d level %d" % (q, n))))
         diffs.append(FIMorphism(modules[t + 1], modules[t], tuple(levels)))
-    tail = cur.next()
-    if tail != "end":
-        raise ParseError(cur.line_no - 1, "expected 'end', got %r" % tail)
+    _line(cur, "end")
     try:
         W = FIComplex(ring, N, q_min, tuple(modules), tuple(diffs))
     except ValueError as e:

@@ -315,6 +315,9 @@ def test_conf_guards():
         conf_bounds(1, 3)
     with pytest.raises(ValueError):
         conf_bounds(2, 3, "headline")
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="n >= 1"):
+            conf_bounds(2, 3, "stated", n=n)
 
 
 # ---------------------------------------------------------------------------

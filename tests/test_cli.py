@@ -210,6 +210,15 @@ def test_bounds_goingup(capsys):
     assert "t_1 bound = 6" in out
 
 
+@pytest.mark.parametrize("pi", ["1:2", "1:0:x", "0:0:4,a:0:1", "1:0:2:3"])
+def test_bounds_goingup_names_a_bad_entry(capsys, pi):
+    code, out, err = run(capsys, ["bounds", "goingup", "--pi", pi, "--k", "1"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    bad = pi.split(",")[-1]
+    assert err == "fihom: error: bad --pi entry %r: expected k:j:value\n" % bad
+
+
 # ---------------------------------------------------------------------------
 # cube, conf, cohomology
 
@@ -315,6 +324,14 @@ def test_conf_shows_both_variants(capsys):
     assert "p=2 body: t0 <= 5  t1 <= 6" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_conf_refuses_a_cube_below_dimension_one(capsys, n):
+    code, out, err = run(capsys, ["conf", "--d", "3", "--p", "2", "--n", n])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "n >= 1" in err
+
+
 def test_cohomology_table(capsys):
     code, out, _ = run(capsys, ["cohomology", "--d", "3", "--u", "0",
                                 "--p", "0..2"])
@@ -346,6 +363,17 @@ def test_gen_writes_deterministic_file(capsys, tmp_path):
     code, out, _ = run(capsys, ["validate", str(a)])
     assert code == EXIT_OK
     assert "ok:" in out
+
+
+@pytest.mark.parametrize("where", ["dir", "missing/out.fim"])
+def test_gen_reports_an_unwritable_output(capsys, tmp_path, where):
+    path = tmp_path if where == "dir" else tmp_path / where
+    code, out, err = run(capsys, ["gen", "--kind", "free", "--seed", "3",
+                                  "-o", str(path)])
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith("fihom: [Errno ") and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_gen_coker_to_stdout_parses(capsys):
@@ -411,6 +439,23 @@ def test_verify_failure_dumps_counterexample(capsys, tmp_path, monkeypatch):
     dumped = list(tmp_path.glob("fihom-counterexample-*.txt"))
     assert len(dumped) == 1
     assert dumped[0].read_text() == "# demo failure\nartifact body\n"
+
+
+def test_verify_reports_an_unwritable_counterexample(capsys, tmp_path, monkeypatch):
+    import fihom.cli as cli
+
+    def fake_run_suite(name, trials=None, seed=0):
+        return SuiteReport(name, seed, 1, 1,
+                           failures=(("demo failure", "artifact body\n"),))
+
+    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, ["verify", "--suite", "homology",
+                                  "--dump-dir", str(missing)])
+    assert code == EXIT_FAIL
+    assert "FAIL" in out and "counterexample written" not in out
+    assert err.startswith("fihom: [Errno ") and str(missing) in err
+    assert not missing.exists()
 
 
 # ---------------------------------------------------------------------------

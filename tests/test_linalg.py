@@ -1,6 +1,8 @@
 """Exact linear algebra: ranks, kernels, Smith form, homology classes."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from math import gcd, lcm, prod
 
 import hypothesis.strategies as st
@@ -369,6 +371,29 @@ def test_homology_class_rejects_non_complex():
     d_out = zmat([[1, 0]])
     with pytest.raises(CompositionError):
         homology_class(d_in, d_out)
+
+
+ELIMINATION_CORES = {"_eliminate", "_rank_of", "_divisors_of"}
+
+
+def test_only_linalg_reaches_the_elimination_cores():
+    """Which elimination reads an invariant is decided in linalg alone: no
+    other src module imports or names its private elimination cores."""
+    files = sorted((Path(__file__).parent.parent / "src" / "fihom").glob("*.py"))
+    assert files
+    found = set()
+    for path in files:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found |= {(path.name, name) for name in names & ELIMINATION_CORES}
+    assert found == set()
 
 
 def random_unimodular(rng, n):

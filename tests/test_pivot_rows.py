@@ -16,14 +16,13 @@ from hypothesis import given, settings
 
 from fihom import (
     AbelianClass, Matrix, QQ, ZZ, direct_sum, elementary_divisors,
-    fih_chain_complex, homology_class, hyper_total_complex, rank, representable,
+    fih_chain_complex, hyper_total_complex, rank, representable,
 )
 from fihom.generate import gen_coker, gen_complex
-from fihom.homology import _ChainComplex
 from fihom.io import parse
-from fihom.linalg import _divisors_of, _rank_of
+from fihom.linalg import _ChainComplex, _divisors_of, _rank_of
 
-from test_homology import ORDERS, doubling_module, in_order
+from test_homology import ORDERS, doubling_module, in_order, old_homology_class
 
 HYPER_FILES = sorted((Path(__file__).parent.parent / "bench" / "data" / "hyper").glob("*.fic"))
 
@@ -96,7 +95,7 @@ def check_sweep(C, degs, order):
         D = C.boundary_out(m)
         assert invariant == (rank(D) if C._ring == QQ else elementary_divisors(D))
     for m in degs:
-        assert C.homology(m) == homology_class(C.boundary_in(m), C.boundary_out(m))
+        assert C.homology(m) == old_homology_class(C.boundary_in(m), C.boundary_out(m))
     return sum(map(len, C._pivots.values()))
 
 
@@ -115,11 +114,6 @@ def test_families_reach_z_torsion(family):
     assert torsion > 0
 
 
-def explicit_complex(ring, sizes, D):
-    """The chain complex with dim C_m = sizes[m] and D_m = D[m]."""
-    return _ChainComplex(ring, sizes, lambda m, skip=(): [dict(r) for r in D[m].rows], {})
-
-
 def row_dicts(M, skip=()):
     """M's nonzero rows {i: row}, copied, those in `skip` left out."""
     return {i: dict(r) for i, r in enumerate(M.rows) if r and i not in skip}
@@ -128,7 +122,7 @@ def row_dicts(M, skip=()):
 def two_step(ring):
     """D_1 = [[2, 3]], D_2 = [[3], [-2]]: H_1 = 0, and D_1 has no unit pivot."""
     D = {1: Matrix.from_rows(ring, [[2, 3]]), 2: Matrix.from_rows(ring, [[3], [-2]])}
-    return explicit_complex(ring, {0: 1, 1: 2, 2: 1}, D)
+    return _ChainComplex.of(D)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -243,7 +237,8 @@ def test_unimodular_conjugates_of_elementary_complexes(case):
         assert (D[m - 1] @ D[m]).is_zero()
     for ring in (ZZ, QQ):
         Dr = {m: d.to_ring(ring) for m, d in D.items()}
-        C = explicit_complex(ring, dict(enumerate(sizes)), Dr)
+        C = _ChainComplex.of(Dr)
+        assert C._sizes == dict(enumerate(sizes))
         got = {m: C.homology(m) for m in in_order(range(L + 1), order)}
         for m, want in expected.items():
             assert got[m] == (want if ring == ZZ else AbelianClass(want.rank))

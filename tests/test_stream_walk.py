@@ -3,8 +3,8 @@
 Each level of the walk multiplies only the d^2 pairs through total degree
 q_max + 2 (the cube complex's (d_1, d_2)), builds those differentials
 whole, and writes every higher D_{m+1} only on the rows that the pivots
-of D_m leave.  The profiles are checked against homology_class on the
-whole build, and the public eliminations against their own inputs.
+of D_m leave.  The profiles are checked against the old two-map formula
+on the whole build, and the public eliminations against their own inputs.
 """
 
 import random
@@ -15,7 +15,7 @@ import pytest
 
 from fihom import (
     FIModule, Matrix, QQ, ZZ, degrees, direct_sum, elementary_divisors,
-    fih_chain_complex, homology_class, hyper_degrees, hyper_total_complex,
+    fih_chain_complex, hyper_degrees, hyper_total_complex,
     rank, representable,
 )
 from fihom import fimodule, homology
@@ -24,17 +24,18 @@ from fihom.generate import gen_coker, gen_complex
 from fihom.homology import DegreeProfile
 from fihom.linalg import _divisors_of, _rank_of, rref
 
-from test_homology import doubling_module
+from test_homology import doubling_module, old_homology_class
 
 
 def full_profile(complex_at, N, ks):
-    """t_k with every level built whole and every H_k read by homology_class
-    on the maps written whole: no cache and no pivot-row compression."""
+    """t_k with every level built whole and every H_k read by
+    old_homology_class on the maps written whole: no cache and no
+    pivot-row compression."""
     values = dict.fromkeys(ks)
     for n in range(N + 1):
         cpx = complex_at(n)
         for k in ks:
-            if not homology_class(cpx.boundary_in(k), cpx.boundary_out(k)).is_zero():
+            if not old_homology_class(cpx.boundary_in(k), cpx.boundary_out(k)).is_zero():
                 values[k] = n
     certified = {k: v is not None and v < N for k, v in values.items()}
     return DegreeProfile(N, values, certified)
