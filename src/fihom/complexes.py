@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .fimodule import (
-    FIModule, _Injections, _quotient_module, shift_module, truncate, validate,
+    FIModule, _Injections, _quotient_module, shift_module, validate,
     validate_morphism, zero_module,
 )
 from .homology import (
@@ -177,13 +177,21 @@ def levelwise_homology_module(W: FIComplex, k) -> FIModule:
 # the shift cone identity
 
 
-def _cube_chain_map(V, n):
+def _check_level(V, n):
+    """Refuse a level n outside 0..N-1: the cone at n reads the cube at n + 1."""
+    if not 0 <= n < V.truncation:
+        raise ValueError("level %d outside 0..%d: need n + 1 <= truncation"
+                         % (n, V.truncation - 1))
+
+
+def _cube_chain_map(V, n, sd=None, A=None):
     """(A, B, phi): the cube complexes at level n of V and of its shift SV,
-    and the chain map phi: A -> B induced by the natural map V -> SV."""
-    if n + 1 > V.truncation:
-        raise ValueError("need n + 1 <= truncation")
-    sd = shift_module(V)
-    A = fih_chain_complex(truncate(V, V.truncation - 1), n)
+    and the chain map phi: A -> B induced by the natural map V -> SV.
+    `sd` = shift_module(V) and `A` = fih_chain_complex(V, n) are built
+    unless the caller has them."""
+    _check_level(V, n)
+    sd = shift_module(V) if sd is None else sd
+    A = fih_chain_complex(V, n) if A is None else A
     B = fih_chain_complex(sd.module, n)
     phi = []
     for q in range(n + 1):
@@ -192,6 +200,17 @@ def _cube_chain_map(V, n):
             _put_block(rows, B.offsets[q][S], off, sd.natural.levels[n - q])
         phi.append(Matrix(V.ring, B.size(q), A.size(q), rows))
     return A, B, tuple(phi)
+
+
+def _shift_levels(V, top, sd):
+    """(A, B, phi, C) for n = 1..top: `_cube_chain_map(V, n)` and the cube
+    complex C of V at n + 1, which is the next level's A.  So each cube of
+    V at 1..top+1 and of SV at 1..top is built once, on the shift sd of V."""
+    A = None
+    for n in range(1, top + 1):
+        C = fih_chain_complex(V, n + 1)
+        yield _cube_chain_map(V, n, sd, A) + (C,)
+        A = C
 
 
 def _signed_regroup(C, A, B, p):
@@ -230,12 +249,16 @@ def shift_cone_check(V: FIModule, n) -> bool:
     it (the cube of V at n) and those containing it (the cube of SV at
     n); checked as exact matrix equality after the signed regrouping.
     """
-    A, B, phi = _cube_chain_map(V, n)
-    C = fih_chain_complex(V, n + 1)
+    return _cone_holds(*_cube_chain_map(V, n), fih_chain_complex(V, n + 1))
+
+
+def _cone_holds(A, B, phi, C):
+    """`shift_cone_check` on the cubes A, B, C and phi of its level."""
+    n = A.level
     for p in range(0, n + 2):
         if C.size(p) != A.size(p - 1) + B.size(p):
             return False
-    ring = V.ring
+    ring = C.module.ring
     for p in range(1, n + 2):
         Qp = _signed_regroup(C, A, B, p)
         Qprev = _signed_regroup(C, A, B, p - 1)
@@ -265,8 +288,16 @@ def shift_three_term_exactness(V: FIModule, n, a) -> bool:
     """
     if V.ring != QQ:
         raise ValueError("three-term exactness check runs over Q")
-    A, B, phi = _cube_chain_map(V, n)
-    C = fih_chain_complex(V, n + 1)
+    _check_level(V, n)
+    if not 0 <= a <= n + 1:
+        raise ValueError("degree %d outside 0..%d" % (a, n + 1))
+    return _three_term_exact(*_cube_chain_map(V, n), fih_chain_complex(V, n + 1), a)
+
+
+def _three_term_exact(A, B, phi, C, a):
+    """`shift_three_term_exactness` at H_a on the cubes A, B, C and phi of
+    its level."""
+    n = A.level
     qa = QuotientCoords(A.boundary_in(a), A.boundary_out(a))
     qb = QuotientCoords(B.boundary_in(a), B.boundary_out(a))
     qc = QuotientCoords(C.boundary_in(a), C.boundary_out(a))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
 from typing import Optional
 
@@ -567,8 +568,13 @@ def free_morphism(sources, target: FIModule, images) -> FIMorphism:
     the basis vector (S, g) of M(m_i)(n_) goes to target(f)(images[i])
     for the injection f = ord_S o g.
     """
-    return FIMorphism(_free_sum(sources, target),
-                      target, tuple(_free_morphism_levels(sources, target, images)))
+    return _free_map(sources, target,
+                     tuple(_free_morphism_levels(sources, target, images)))
+
+
+def _free_map(sources, target, levels):
+    """The FIMorphism (+) M(m_i) -> target with the given levels."""
+    return FIMorphism(_free_sum(sources, target), target, levels)
 
 
 def _free_sum(sources, target):
@@ -578,16 +584,38 @@ def _free_sum(sources, target):
         if sources else zero_module(N, ring)
 
 
+class _Pushed(_Injections):
+    """V(f) vec for injections f: m_ -> b_ and one vector vec of V(m_), by
+    the recursion of `_Injections` run on the vector: each step is one
+    matrix-vector product with the vector of a simpler injection."""
+
+    def __init__(self, V, vec):
+        super().__init__(V)
+        self.vec = vec
+
+    def _build(self, f, b):
+        return self.vec if f == tuple(range(b)) else super()._build(f, b)
+
+    def _times(self, m, g, c):
+        return m.mul_vec(self(g, c))
+
+
 def _free_morphism_levels(sources, target, images):
-    """The levels n = 0, 1, ... of `free_morphism`, each built when drawn."""
-    ev = _Injections(target)
+    """The levels n = 0, 1, ... of `free_morphism`, each built when drawn.
+
+    Column (S, g) of the generator m_i is target(ord_S o g)(images[i]),
+    pushed along the injection by `_Pushed`, one evaluator per generator
+    for all levels."""
+    pushes = []
+    for m, vec in zip(sources, images):
+        if len(vec) != target.dims[m]:
+            raise ValueError("generator image has wrong dimension")
+        pushes.append(_Pushed(target, vec))
     for n in range(target.truncation + 1):
         cols = []
-        for m, vec in zip(sources, images):
-            if len(vec) != target.dims[m]:
-                raise ValueError("generator image has wrong dimension")
+        for m, push in zip(sources, pushes):
             for f in representable_basis_injections(m, n):
-                cols.append(ev(f, n).mul_vec(vec))
+                cols.append(push(f, n))
         rows = [{} for _ in range(target.dims[n])]
         for c, col in enumerate(cols):
             for i, v in enumerate(col):
@@ -597,18 +625,20 @@ def _free_morphism_levels(sources, target, images):
 
 
 def _free_coker(sources, target: FIModule, images):
-    """(f, fi_coker(f)) for f = free_morphism(sources, target, images).
+    """(presented, fi_coker(f)) for f = free_morphism(sources, target, images),
+    where presented() builds f.
 
     Each level's cokernel is taken as soon as the level is built, so over
     Z a torsion cokernel raises CokernelTorsionError at its first torsion
-    level, before the levels above it and the source module are built.
+    level, before the levels above it are built.  The source module of f
+    is built only when presented() is called.
     """
     levels, quots = [], []
     for n, L in enumerate(_free_morphism_levels(sources, target, images)):
         quots.append(_coker_level(L, n))
         levels.append(L)
-    f = FIMorphism(_free_sum(sources, target), target, tuple(levels))
-    return f, _quotient_module(target, quots)
+    return (partial(_free_map, sources, target, tuple(levels)),
+            _quotient_module(target, quots))
 
 
 # ---------------------------------------------------------------------------

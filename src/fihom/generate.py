@@ -9,7 +9,9 @@ entries in [-3, 3].
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .fimodule import (
     FBData, FIModule, FIMorphism, _free_coker, direct_sum, free_fi_module,
@@ -126,11 +128,17 @@ def _free_source(rng, max_card, max_gens):
 @dataclass(frozen=True)
 class CokerInstance:
     module: FIModule
-    presentation: FIMorphism
     source_cards: tuple
     target_data: FBData
     ring: str
     downgraded: bool = False
+    _presented: Callable = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def presentation(self) -> FIMorphism:
+        """The map (+) M(m_i) -> M(X) whose cokernel is `module`; its
+        source module is built when this is first read."""
+        return self._presented()
 
     def notes(self):
         out = ["# coker: source cards %s, target dims %s"
@@ -161,11 +169,11 @@ def gen_coker(seed, ring=QQ, trunc=5, retries=4) -> CokerInstance:
         for m in cards:
             images.append([_entry(rng) for _ in range(target.dims[m])])
         try:
-            f, C = _free_coker(cards, target, images)
+            presented, C = _free_coker(cards, target, images)
         except CokernelTorsionError:
             continue
-        return CokerInstance(C, f, tuple(cards), X, attempt_ring,
-                             downgraded=(attempt_ring != ring))
+        return CokerInstance(C, tuple(cards), X, attempt_ring,
+                             downgraded=(attempt_ring != ring), _presented=presented)
     raise AssertionError("unreachable: Q cokernels always exist")
 
 

@@ -217,7 +217,13 @@ class Matrix:
     def mul_vec(self, vec):
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return [sum(v * vec[j] for j, v in r.items()) for r in self.rows]
+        out = []
+        for r in self.rows:
+            s = 0
+            for j, v in r.items():
+                s += v * vec[j]
+            out.append(s)
+        return out
 
     def column(self, j):
         return _read(self.ring, [r.get(j, 0) for r in self.rows])

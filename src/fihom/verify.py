@@ -19,8 +19,8 @@ from .bounds import (
     partition_min_exhaustive, strongly_cocartesian_spec,
 )
 from .complexes import (
-    hyper_degrees, levelwise_homology_module, shift_cone_check,
-    shift_three_term_exactness,
+    _cone_holds, _shift_levels, _three_term_exact, hyper_degrees,
+    levelwise_homology_module,
 )
 from .fimodule import (
     colim_compare, shift_module, validate, validate_morphism,
@@ -158,7 +158,10 @@ def suite_colim(trials=30, seed=0):
 
 
 def suite_shift(trials=12, seed=0):
-    """Shift validity, the cone regrouping, and three-term exactness."""
+    """Shift validity, the cone regrouping, and three-term exactness.
+
+    The levels n = 1..top walk one shift, and each level's cone check and
+    (at the top level, over Q) three-term checks read the same cubes."""
     run = _Run()
     for i in range(trials):
         V, _ = _mixed_module(i, seed, trunc=4)
@@ -166,15 +169,15 @@ def suite_shift(trials=12, seed=0):
         run.check(not validate(sd.module), "shift is not an FI-module", V)
         run.check(not validate_morphism(sd.natural),
                   "natural map is not a morphism", V)
-        for n in range(1, min(3, V.truncation - 1) + 1):
-            run.check(shift_cone_check(V, n),
+        top = min(3, V.truncation - 1)
+        for n, cubes in enumerate(_shift_levels(V, top, sd), 1):
+            run.check(_cone_holds(*cubes),
                       "cube at %d is not the cone at %d" % (n + 1, n), V)
-        if V.ring == QQ:
-            n = min(3, V.truncation - 1)
-            for a in range(n + 2):
-                run.check(shift_three_term_exactness(V, n, a),
-                          "three-term sequence not exact at H_%d, level %d" % (a, n),
-                          V)
+            if V.ring == QQ and n == top:
+                for a in range(n + 2):
+                    run.check(_three_term_exact(*cubes, a),
+                              "three-term sequence not exact at H_%d, level %d"
+                              % (a, n), V)
     return run.report("shift", seed, trials)
 
 

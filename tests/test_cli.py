@@ -1,5 +1,6 @@
 """The command line surface: exit codes, output formats, file handling."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -495,6 +496,27 @@ def test_verify_all_seed0_matches_the_golden_output(capsys, monkeypatch):
                        env={"FIHOM_FORMAT": "kv"}, monkeypatch=monkeypatch)
     assert code == EXIT_OK
     assert out.encode() == GOLDEN.read_bytes()
+
+
+# SHA-256 of `FIHOM_FORMAT=kv fihom verify --suite all --seed S` (seed 0 is
+# the golden file above)
+VERIFY_SHA256 = {
+    1: "e5aa8553829a982b799fd15e1240f40c79fcb30fac450ada4f0052f696767d21",
+    2: "d20e8dbab6aa813f86eedf142b5c70bb570c1f0fdf13c516866940f2a2253ccb",
+    3: "67ee9c079bda7b535b64759af02915c68a240ca1dbfc3d58de7e8beeb125ec8e",
+    4: "40f0be57b91754e62db81d122678eb15df80ff1a868137a9dd6dab9d955a5a44",
+    5: "3d76943d24f3164352511293d589d23b29490f73eb88baa9c674dd27cc8aaf63",
+    6: "3b0ee5701b4c0a6fb9503822ce52bd5b314bff1d0968e566c397e98cd4c8cb66",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
+def test_verify_all_matches_its_pinned_hash(seed, capsys, monkeypatch):
+    """The whole battery at seeds 1..6, byte for byte, by its SHA-256."""
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--seed", str(seed)],
+                       env={"FIHOM_FORMAT": "kv"}, monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[seed]
 
 
 HYPER_FILES = sorted((Path(__file__).parent.parent / "bench" / "data" / "hyper").glob("*.fic"))

@@ -433,6 +433,52 @@ def test_three_term_exactness():
             assert shift_three_term_exactness(V, 2, a)
 
 
+@pytest.mark.parametrize("n", [-1, -3, 4, 6])
+def test_shift_checks_refuse_a_level_outside_the_truncation(n):
+    """The cone at n reads the cube at n + 1, so n runs over 0..N-1."""
+    V = representable(1, 4, QQ)
+    for check in (lambda: shift_cone_check(V, n),
+                  lambda: shift_three_term_exactness(V, n, 0)):
+        with pytest.raises(ValueError) as err:
+            check()
+        assert str(err.value) == "level %d outside 0..3: need n + 1 <= truncation" % n
+
+
+@pytest.mark.parametrize("a", [-1, -2, 5, 9])
+def test_three_term_exactness_refuses_a_degree_outside_the_cube(a):
+    """H_a of the (n+1)-cube has a in 0..n+1."""
+    V = representable(1, 4, QQ)
+    with pytest.raises(ValueError) as err:
+        shift_three_term_exactness(V, 3, a)
+    assert str(err.value) == "degree %d outside 0..4" % a
+    assert all(shift_three_term_exactness(V, 3, b) for b in range(5))
+
+
+def test_the_shift_suite_builds_each_cube_and_shift_once(monkeypatch):
+    """Over seeds 0..6, each module's cubes of V at levels 1..4 and of SV at
+    1..3 are built once, on the one shift that the suite validates."""
+    from fihom.verify import suite_shift
+
+    counts = {"cube": 0, "shift": 0}
+    real_cube, real_shift = homology.FIHComplexAt.__init__, fimodule.ShiftData
+
+    def cube(self, *args):
+        counts["cube"] += 1
+        real_cube(self, *args)
+
+    def shift(*args):
+        counts["shift"] += 1
+        return real_shift(*args)
+
+    monkeypatch.setattr(homology.FIHComplexAt, "__init__", cube)
+    monkeypatch.setattr(fimodule, "ShiftData", shift)
+    reports = [suite_shift(seed=s) for s in range(7)]
+    assert all(r.passed for r in reports)
+    modules = sum(r.trials for r in reports)
+    assert modules == 84
+    assert counts["cube"] <= 7 * modules and counts["shift"] <= modules
+
+
 def test_three_term_exactness_needs_rationals():
     with pytest.raises(ValueError):
         shift_three_term_exactness(constant_module(3, ZZ), 1, 0)

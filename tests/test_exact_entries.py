@@ -158,3 +158,22 @@ def test_gen_complex_over_q_stores_integral_entries_as_ints():
         mats = [M for d in W.diffs for M in d.levels]
         mats += [M for V in W.modules for M in V.iota + sum(V.trans, ())]
         assert [v for M in mats for v in _bad_entries(M, True)] == [], seed
+
+
+def test_mul_vec_matches_the_sum_formula_in_values_and_types():
+    """`Matrix.mul_vec` against sum(v * vec[j]) row by row: the same values,
+    int or Fraction alike, on sparse int and Fraction rows."""
+    import random
+
+    rng = random.Random("mul_vec")
+    entries = [1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    # a pushed vector may hold an integral Fraction, made by a product
+    coords = entries + [0, Fraction(2)]
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 5)
+        rows = [{j: rng.choice(entries) for j in range(ncols) if rng.random() < 0.4}
+                for _ in range(nrows)]
+        vec = [rng.choice(coords) for _ in range(ncols)]
+        got = Matrix(QQ, nrows, ncols, rows).mul_vec(vec)
+        want = [sum(v * vec[j] for j, v in r.items()) for r in rows]
+        assert [(x, type(x)) for x in got] == [(x, type(x)) for x in want]

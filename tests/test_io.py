@@ -197,6 +197,73 @@ def test_a_bare_header_key_is_a_parse_error_on_its_line(tmp_path, capsys, kind, 
     assert "line %d: " % (idx + 1) in capsys.readouterr().err
 
 
+HEADED_MODULE = ("fimodule\nring Z\ntruncation 3\ndims 1 1 1 1\niota 0\n1\niota 1\n1\n"
+                 "iota 2\n1\ntrans 2 1\n1\ntrans 3 1\n1\ntrans 3 2\n1\nend\n")
+HEADED_COMPLEX = ("ficomplex\nring Z\ntruncation 1\nqmin 0\nmodules 2\n"
+                  "module 0\nring Z\ntruncation 1\ndims 1 1\niota 0\n1\nendmodule\n"
+                  "module 1\nring Z\ntruncation 1\ndims 1 1\niota 0\n1\nendmodule\n"
+                  "diff 1 level 0\n0\ndiff 1 level 1\n0\nend\n")
+# (text, 0-based line, what replaces it, the whole ParseError message)
+HEADER_MESSAGES = [
+    (HEADED_MODULE, 4, "bogus", "line 5: expected 'iota 0', got 'bogus'"),
+    (HEADED_MODULE, 6, "iota 2", "line 7: expected 'iota 1', got 'iota 2'"),
+    (HEADED_MODULE, 8, "bogus", "line 9: expected 'iota 2', got 'bogus'"),
+    (HEADED_MODULE, 10, "bogus", "line 11: expected 'trans 2 1', got 'bogus'"),
+    (HEADED_MODULE, 12, "trans 3 2", "line 13: expected 'trans 3 1', got 'trans 3 2'"),
+    (HEADED_MODULE, 14, "bogus", "line 15: expected 'trans 3 2', got 'bogus'"),
+    (HEADED_MODULE, 16, "endmodule", "line 17: expected 'end', got 'endmodule'"),
+    (HEADED_MODULE, 0, "bogus", "line 1: expected 'fimodule' or 'ficomplex' header"),
+    (HEADED_MODULE, 1, "bogus Z", "line 2: expected 'ring', got 'bogus Z'"),
+    (HEADED_COMPLEX, 5, "bogus", "line 6: expected 'module 0', got 'bogus'"),
+    (HEADED_COMPLEX, 9, "bogus", "line 10: expected 'iota 0', got 'bogus'"),
+    (HEADED_COMPLEX, 11, "end", "line 12: expected 'endmodule', got 'end'"),
+    (HEADED_COMPLEX, 12, "module 0", "line 13: expected 'module 1', got 'module 0'"),
+    (HEADED_COMPLEX, 16, "bogus", "line 17: expected 'iota 0', got 'bogus'"),
+    (HEADED_COMPLEX, 18, "bogus", "line 19: expected 'endmodule', got 'bogus'"),
+    (HEADED_COMPLEX, 19, "diff 2 level 0",
+     "line 20: expected 'diff 1 level 0', got 'diff 2 level 0'"),
+    (HEADED_COMPLEX, 21, "bogus", "line 22: expected 'diff 1 level 1', got 'bogus'"),
+    (HEADED_COMPLEX, 23, "endmodule", "line 24: expected 'end', got 'endmodule'"),
+    (HEADED_COMPLEX, 4, "bogus 2", "line 5: expected 'modules', got 'bogus 2'"),
+]
+
+
+@pytest.mark.parametrize("text, idx, line, message", HEADER_MESSAGES,
+                         ids=["%s-line%d" % (t.split()[0], i + 1)
+                              for t, i, _, _ in HEADER_MESSAGES])
+def test_a_wrong_header_line_is_named_byte_for_byte(text, idx, line, message):
+    parse(text)
+    lines = text.splitlines()
+    lines[idx] = line
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines) + "\n")
+    assert str(err.value) == message
+
+
+BARE_KEY_MESSAGES = {
+    ("module", 1): "line 2: 'ring' needs a value",
+    ("module", 2): "line 3: 'truncation' needs a value",
+    ("module", 3): "line 4: dims has 0 entries, truncation 0 needs 1",
+    ("complex", 1): "line 2: 'ring' needs a value",
+    ("complex", 2): "line 3: 'truncation' needs a value",
+    ("complex", 3): "line 4: 'qmin' needs a value",
+    ("complex", 4): "line 5: 'modules' needs a value",
+    ("complex", 6): "line 7: 'ring' needs a value",
+    ("complex", 7): "line 8: 'truncation' needs a value",
+    ("complex", 8): "line 9: dims has 0 entries, truncation 0 needs 1",
+}
+
+
+def test_every_bare_header_key_message_is_pinned():
+    assert sorted(BARE_KEY_MESSAGES) == sorted(BARE_KEYS)
+    for (kind, idx), message in BARE_KEY_MESSAGES.items():
+        lines = HEADERS[kind].splitlines()
+        lines[idx] = lines[idx].split()[0]
+        with pytest.raises(ParseError) as err:
+            parse("\n".join(lines) + "\n")
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # validation errors name the broken relation
 

@@ -291,12 +291,14 @@ def test_a_z_coker_attempt_stops_at_its_first_torsion_level(monkeypatch):
         del built[:], checked[:]
         sums[0] = 0
         inst = gen_coker(s, ring=ZZ, trunc=5)
-        monkeypatch.undo()
+        # no source module is built while drawing; reading the presentation
+        # builds it once, for the attempt kept; a Z attempt builds and checks
+        # the levels 0, 1, ... one at a time and stops at its first torsion
+        # level; the Q attempt of a downgrade checks none
+        assert sums[0] == 0
         N = inst.presentation.target.truncation
-        # the source module is built once, for the attempt kept; a Z attempt
-        # builds and checks the levels 0, 1, ... one at a time and stops at
-        # its first torsion level; the Q attempt of a downgrade checks none
         assert sums[0] == 1
+        monkeypatch.undo()
         assert len(built) == len(checked) + (N + 1) * (inst.ring == QQ)
         starts = [i for i, n in enumerate(checked) if n == 0] + [len(checked)]
         runs = [checked[a:b] for a, b in zip(starts, starts[1:])]
