@@ -9,26 +9,24 @@ is exact (int / Fraction); nothing here floats.
 
 from .linalg import (
     AbelianClass, CompositionError, Matrix, QQ, QuotientCoords, SNFResult,
-    ZZ, block_matrix, det, elementary_divisors, homology_class, image_basis,
-    kernel_basis, rank, rank_kernel, rref, snf, solve_matrix,
+    ZZ, block_matrix, det, elementary_divisors, homology_class, kernel_basis,
+    rank, rref, snf, solve_matrix,
 )
 from .fimodule import (
     CokernelTorsionError, FBData, FIModule, FIMorphism, ShiftData,
     colim_compare, constant_module, direct_sum, face_matrices,
-    fi_coker, free_basis_labels, free_fi_module, free_morphism,
-    induced_injection_matrix, regular_fbdata, representable,
-    representable_basis_injections, shift_module, truncate,
-    validate, validate_fbdata, validate_morphism, zero_module,
+    fi_coker, free_fi_module, free_morphism, regular_fbdata, representable,
+    representable_basis_injections, shift_module, truncate, validate,
+    validate_fbdata, validate_morphism, zero_module,
 )
 from .homology import (
     DegreeProfile, Estimate, FIHComplexAt, degrees, delta_estimate,
     fih_chain_complex, fih_group, hmax_estimate, subset_layout,
 )
 from .complexes import (
-    FIComplex, TotalComplexAt, complex_from_morphisms, derivative_two_term,
-    hyper_degrees, hyper_group, hyper_total_complex, levelwise_homology_module,
-    shift_cone_check, shift_three_term_exactness, single_module_complex,
-    validate_complex,
+    FIComplex, TotalComplexAt, complex_from_morphisms, hyper_degrees,
+    hyper_total_complex, levelwise_homology_module, shift_cone_check,
+    shift_three_term_exactness, validate_complex,
 )
 from .bounds import (
     BoundReport, CubeSpec, DegreeSeq, NEG_INF, POS_INF, bahran_bounds,
@@ -39,6 +37,6 @@ from .bounds import (
 )
 from .io import ParseError, ValidationError, parse, serialize
 from .generate import gen_coker, gen_complex, gen_free, generate
-from .verify import SUITES, SuiteReport, run_all, run_suite
+from .verify import SUITES, SuiteReport, run_suite
 
 __version__ = "0.1.0"

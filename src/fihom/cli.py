@@ -90,30 +90,38 @@ def _count(text):
     return v
 
 
-def _parse_int(tok):
+def _int_entry(tok, flag, want="an integer"):
+    """int(tok) for an entry of the list flag `flag`; a bad one names both."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError("bad %s entry %r: expected %s" % (flag, tok, want)) from None
+
+
+def _parse_int(tok, flag):
     if tok == "none":
         return -1
-    return int(tok)
+    return _int_entry(tok, flag, "an integer or none")
 
 
-def _parse_seq(text):
+def _parse_seq(text, flag):
     """Comma list "2,3,none" -> DegreeSeq {0: 2, 1: 3, 2: -1}."""
     entries = {}
     for i, tok in enumerate(t.strip() for t in text.split(",")):
-        entries[i] = _parse_int(tok)
+        entries[i] = _parse_int(tok, flag)
     return DegreeSeq(entries)
 
 
 def _parse_range(text):
-    """"A..B" or a single value, inclusive."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError("empty range %s" % text)
-        return range(lo, hi + 1)
-    v = int(text)
-    return range(v, v + 1)
+    """The --p value: "A..B" or a single value, inclusive."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError("bad --p value %r: expected an integer or A..B" % text) from None
+    if hi < lo:
+        raise ValueError("empty range %s" % text)
+    return range(lo, hi + 1)
 
 
 def _read_cube_spec(path):
@@ -255,7 +263,7 @@ def _print_report(fmt, rep, extra=(), label=None):
 
 def _cmd_bounds(args, fmt):
     if args.family == "ganli":
-        rep = gan_li_bounds(_parse_seq(args.t), args.k)
+        rep = gan_li_bounds(_parse_seq(args.t, "--t"), args.k)
         _print_report(fmt, rep, extra=[("k", args.k)])
     elif args.family == "bahran":
         rep = bahran_bounds(args.delta, args.hmax)
@@ -265,7 +273,7 @@ def _cmd_bounds(args, fmt):
         if args.variant == "general":
             if args.t is None:
                 raise ValueError("general variant needs --t")
-            rep = going_down_bounds(_parse_seq(args.t), args.p)
+            rep = going_down_bounds(_parse_seq(args.t, "--t"), args.p)
         elif args.variant == "monotone":
             if args.f_const is None:
                 raise ValueError("monotone variant needs --f-const")
@@ -283,7 +291,7 @@ def _cmd_bounds(args, fmt):
         for tok in args.pi.split(","):
             try:
                 k, j, v = (t.strip() for t in tok.split(":"))
-                pi[(int(k), int(j))] = _parse_int(v)
+                pi[(int(k), int(j))] = _parse_int(v, "--pi")
             except ValueError:
                 raise ValueError("bad --pi entry %r: expected k:j:value" % tok.strip())
         val = going_up_bound(pi, args.k)
@@ -329,7 +337,9 @@ def _cmd_cohomology(args, fmt):
 def _cmd_gen(args, fmt):
     dims = None
     if args.dims is not None:
-        dims = tuple(int(t) for t in args.dims.split(","))
+        if args.kind != "free":
+            raise ValueError("--dims applies to --kind free only")
+        dims = tuple(_int_entry(t, "--dims") for t in args.dims.split(","))
     text = generate(args.kind, args.seed, ring=args.ring, trunc=args.trunc,
                     dims=dims)
     if args.output:

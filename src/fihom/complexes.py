@@ -22,8 +22,7 @@ from .homology import (
     fih_chain_complex,
 )
 from .linalg import (
-    AbelianClass, Matrix, QQ, QuotientCoords, _ChainComplex, _put_block,
-    block_matrix, rank,
+    Matrix, QQ, QuotientCoords, _ChainComplex, _put_block, block_matrix, rank,
 )
 
 
@@ -71,10 +70,6 @@ class FIComplex:
             return self.diffs[q - self.q_min - 1].levels[n]
         return Matrix.zeros(self.ring, self.module(q - 1).dims[n],
                             self.module(q).dims[n])
-
-
-def single_module_complex(V: FIModule, q=0) -> FIComplex:
-    return FIComplex(V.ring, V.truncation, q, (V,), ())
 
 
 def complex_from_morphisms(modules, diffs, q_min=0) -> FIComplex:
@@ -132,10 +127,6 @@ def hyper_total_complex(W: FIComplex, n, walk=None) -> TotalComplexAt:
     return TotalComplexAt(cube, _differentials(cube, "D^2 != 0 at total degree %d (bug)"))
 
 
-def hyper_group(W: FIComplex, n, m) -> AbelianClass:
-    return hyper_total_complex(W, n).homology(m)
-
-
 def hyper_degrees(W: FIComplex, krange) -> DegreeProfile:
     """t_k over k in krange = (k_lo, k_hi): top level with H_k(Tot) != 0.
 
@@ -151,13 +142,6 @@ def hyper_degrees(W: FIComplex, krange) -> DegreeProfile:
     evs = tuple(map(_Injections, W.modules))
     return _degree_profile(lambda n: hyper_total_complex(W, n, evs),
                            W.truncation, range(k_lo, k_hi + 1))
-
-
-def derivative_two_term(V: FIModule) -> FIComplex:
-    """The complex [V -> SV] in degrees 1, 0 computing the derived derivative."""
-    sd = shift_module(V)
-    return FIComplex(V.ring, V.truncation - 1, 0,
-                     (sd.module, sd.natural.source), (sd.natural,))
 
 
 def levelwise_homology_module(W: FIComplex, k) -> FIModule:

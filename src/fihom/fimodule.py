@@ -250,26 +250,6 @@ def _face(k, pos):
     return tuple(range(pos)) + tuple(range(pos + 1, k + 1))
 
 
-def induced_injection_matrix(V, f, a=None, b=None):
-    """Matrix of V(f) for an injection f: a_ -> b_ given by its tuple of values.
-
-    Built by `_Injections`: one product per inversion removed and per
-    level descended, each through a simpler injection.
-    """
-    f = tuple(f)
-    if a is None:
-        a = len(f)
-    if b is None:
-        b = (max(f) + 1) if f else 0
-    if len(f) != a or len(set(f)) != a:
-        raise ValueError("not injective: %r" % (f,))
-    if any(not (0 <= v < b) for v in f):
-        raise ValueError("values of %r outside %d_" % (f, b))
-    if b > V.truncation:
-        raise ValueError("target level %d exceeds truncation %d" % (b, V.truncation))
-    return _Injections(V)(f, b)
-
-
 def face_matrices(V, k, ev=None):
     """[V(delta_0), ..., V(delta_k)] where delta_pos: k_ -> k+1_ skips pos.
 
@@ -278,8 +258,8 @@ def face_matrices(V, k, ev=None):
     `ev` is an `_Injections(V)` that the caller keeps, so that a walk over
     levels builds each face once; a fresh one by default.
     """
-    if k + 1 > V.truncation:
-        raise ValueError("faces at level %d exceed truncation" % (k + 1))
+    if not 0 <= k < V.truncation:
+        raise ValueError("face level %d outside 0..%d" % (k, V.truncation - 1))
     if ev is None:
         ev = _Injections(V)
     return [ev(_face(k, pos), k + 1) for pos in range(k + 1)]
@@ -356,16 +336,6 @@ def free_fi_module(X: FBData, name=""):
             mats.append(Matrix(ring, dim_n, dim_n, rows))
         trans.append(tuple(mats))
     return FIModule(ring, N, dims, tuple(iotas), tuple(trans), name=name)
-
-
-def free_basis_labels(X: FBData, n):
-    """Basis labels (S, index) of M(X)(n_) in matrix order."""
-    offsets, total = _subset_blocks(X, n)
-    labels = [None] * total
-    for S, off in offsets.items():
-        for t in range(X.dims[len(S)]):
-            labels[off + t] = (S, t)
-    return labels
 
 
 def regular_fbdata(m, N, ring):
@@ -606,6 +576,9 @@ def _free_morphism_levels(sources, target, images):
     Column (S, g) of the generator m_i is target(ord_S o g)(images[i]),
     pushed along the injection by `_Pushed`, one evaluator per generator
     for all levels."""
+    if len(images) != len(sources):
+        raise ValueError("%d generator images for %d sources"
+                         % (len(images), len(sources)))
     pushes = []
     for m, vec in zip(sources, images):
         if len(vec) != target.dims[m]:
@@ -691,8 +664,8 @@ def colim_compare(V: FIModule, n, K):
     """
     if K < 0:
         raise ValueError("cutoff K must be >= 0")
-    if n > V.truncation:
-        raise ValueError("level exceeds truncation")
+    if not 0 <= n <= V.truncation:
+        raise ValueError("level %d outside 0..%d" % (n, V.truncation))
     P, c = _poset_presentation(V, n, K)
     cpx = _ChainComplex.of({1: c, 2: P})
     onto, middle = cpx.homology(0), cpx.homology(1)

@@ -474,31 +474,6 @@ def kernel_basis(M):
     return [res.V.column(j) for j in range(r, M.ncols)]
 
 
-def rank_kernel(M):
-    """(rank, kernel basis) of M; see kernel_basis for the basis choice."""
-    basis = kernel_basis(M)
-    return M.ncols - len(basis), basis
-
-
-def image_basis(M):
-    """Matrix whose columns are a basis of im(M).
-
-    Over Q: the rows of the RREF of M^T, as columns.  Over Z: a lattice
-    basis d_i * Uinv[:, i] read off the Smith form.
-    """
-    if M.ring == QQ:
-        rows = rref(M.transpose())[1]
-        return Matrix(QQ, len(rows), M.nrows, rows).transpose()
-    res = _snf(M, U_inv=True)
-    ds = [d for d in res.divisors() if d]
-    rows = [{} for _ in range(M.nrows)]
-    for i, d in enumerate(ds):
-        for k, v in enumerate(res.U_inv.column(i)):
-            if v:
-                rows[k][i] = d * v
-    return Matrix(ZZ, M.nrows, len(ds), rows)
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -689,8 +664,8 @@ def snf(M):
     Hermite pass reduces the entries above every pivot modulo the pivot,
     which keeps the entries of the transforms small (a few hundred bits
     at 40x40 on entries in [-9, 9]).  The Z callers that read only some
-    transforms (`kernel_basis`, `image_basis`, `solve_matrix`, `fi_coker`)
-    ask `_snf` for just those.
+    transforms (`kernel_basis`, `solve_matrix`, `fi_coker`) ask `_snf` for
+    just those.
     """
     return _snf(M, True, True, True, True)
 

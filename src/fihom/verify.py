@@ -375,7 +375,3 @@ def run_suite(name, trials=None, seed=0) -> SuiteReport:
     if trials is None:
         return fn(seed=seed)
     return fn(trials=trials, seed=seed)
-
-
-def run_all(trials=None, seed=0):
-    return [run_suite(name, trials=trials, seed=seed) for name in SUITES]

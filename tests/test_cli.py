@@ -220,6 +220,27 @@ def test_bounds_goingup_names_a_bad_entry(capsys, pi):
     assert err == "fihom: error: bad --pi entry %r: expected k:j:value\n" % bad
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "ganli", "--t", "1,x"],
+     "bad --t entry 'x': expected an integer or none"),
+    (["bounds", "goingdown", "--p", "0", "--t", "1,x"],
+     "bad --t entry 'x': expected an integer or none"),
+    (["conf", "--d", "3", "--p", "x"],
+     "bad --p value 'x': expected an integer or A..B"),
+    (["conf", "--d", "3", "--p", "3.."],
+     "bad --p value '3..': expected an integer or A..B"),
+    (["gen", "--kind", "free", "--seed", "1", "--dims", "1,x"],
+     "bad --dims entry 'x': expected an integer"),
+    (["gen", "--kind", "coker", "--seed", "1", "--dims", "1,2"],
+     "--dims applies to --kind free only"),
+])
+def test_integer_flags_name_the_bad_flag(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "fihom: error: %s\n" % message
+
+
 # ---------------------------------------------------------------------------
 # cube, conf, cohomology
 

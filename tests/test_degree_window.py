@@ -24,7 +24,7 @@ from fihom import (
     representable,
 )
 from fihom import homology
-from fihom.complexes import FIComplex, single_module_complex
+from fihom.complexes import FIComplex, complex_from_morphisms
 from fihom.fimodule import FIMorphism, _Injections
 from fihom.generate import gen_coker, gen_complex
 from fihom.homology import DegreeProfile
@@ -191,8 +191,8 @@ def broken_complexes():
                             (FIMorphism(B, below.target, below.levels),
                              FIMorphism(above.source, B, above.levels)))
         V = representable(2, 4, ring)
-        yield single_module_complex(with_transposition(
-            V, 3, 2, Matrix.identity(ring, V.dims[3])), q=1)
+        yield complex_from_morphisms([with_transposition(
+            V, 3, 2, Matrix.identity(ring, V.dims[3]))], [], q_min=1)
 
 
 def test_a_broken_complex_raises_like_the_full_build():

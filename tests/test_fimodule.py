@@ -15,10 +15,8 @@ from fihom import (
     constant_module,
     direct_sum,
     fi_coker,
-    free_basis_labels,
     free_fi_module,
     free_morphism,
-    induced_injection_matrix,
     representable,
     representable_basis_injections,
     shift_module,
@@ -29,7 +27,7 @@ from fihom import (
     zero_module,
 )
 from fihom import linalg
-from fihom.fimodule import _poset_presentation
+from fihom.fimodule import _Injections, _poset_presentation, face_matrices
 from fihom.generate import gen_coker, random_fbdata
 
 from test_homology import doubling_module, old_homology_class
@@ -87,14 +85,6 @@ def test_free_modules_validate():
             assert validate(free_fi_module(X)) == []
 
 
-def test_free_basis_labels_cover_dims():
-    X = fbdata_dims(ZZ, (1, 0, 1))
-    V = free_fi_module(X)
-    for n in range(3):
-        labels = free_basis_labels(X, n)
-        assert len(labels) == V.dims[n]
-
-
 def test_representable_dims_are_injection_counts():
     V = representable(2, 3, ZZ)
     assert V.dims == (0, 0, 2, 6)
@@ -109,21 +99,13 @@ def test_identity_injection_is_identity_matrix():
     V = representable(1, 3, ZZ)
     for a in range(4):
         f = tuple(range(a))
-        assert induced_injection_matrix(V, f) == Matrix.identity(ZZ, V.dims[a])
+        assert _Injections(V)(f, a) == Matrix.identity(ZZ, V.dims[a])
 
 
 def test_point_module_standard_inclusion():
     V = representable(1, 2, ZZ)
-    M = induced_injection_matrix(V, (0,), a=1, b=2)
+    M = _Injections(V)((0,), 2)
     assert M.to_rows() == [[1], [0]]
-
-
-def test_injection_guards():
-    V = representable(1, 2, ZZ)
-    with pytest.raises(ValueError):
-        induced_injection_matrix(V, (0, 0))  # not injective
-    with pytest.raises(ValueError):
-        induced_injection_matrix(V, (0,), a=1, b=5)  # past the truncation
 
 
 def random_injection(rng, a, b):
@@ -143,9 +125,8 @@ def test_injection_functoriality():
             f = random_injection(rng, a, b)
             g = random_injection(rng, b, c)
             gf = tuple(g[x] for x in f)
-            lhs = induced_injection_matrix(V, gf, a=a, b=c)
-            rhs = induced_injection_matrix(V, g, a=b, b=c) \
-                @ induced_injection_matrix(V, f, a=a, b=b)
+            lhs = _Injections(V)(gf, c)
+            rhs = _Injections(V)(g, c) @ _Injections(V)(f, b)
             assert lhs == rhs
 
 
@@ -213,7 +194,7 @@ def test_induced_injection_matrix_matches_old_products():
         cases += [(rng.randint(0, b), b) for b in [rng.randint(0, N) for _ in range(25)]]
         for a, b in cases:
             f = random_injection(rng, a, b)
-            assert induced_injection_matrix(V, f, a=a, b=b) \
+            assert _Injections(V)(f, b) \
                 == old_induced_injection_matrix(V, f, a, b), (V, f, b)
 
 
@@ -222,7 +203,7 @@ def test_every_permutation_matches_old_permutation_matrix():
 
     for V in injection_test_modules()[:3]:
         for perm in permutations(range(4)):
-            assert induced_injection_matrix(V, perm, a=4, b=4) \
+            assert _Injections(V)(perm, 4) \
                 == old_permutation_matrix(V, 4, perm)
 
 
@@ -471,6 +452,18 @@ def test_colim_rejects_negative_cutoff():
         colim_compare(constant_module(2, ZZ), 1, -1)
 
 
+@pytest.mark.parametrize("n", [-1, -4, 4])
+def test_colim_refuses_levels_outside_the_truncation(n):
+    with pytest.raises(ValueError, match=r"level %d outside 0\.\.3" % n):
+        colim_compare(representable(1, 3, QQ), n, 0)
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_face_matrices_refuse_levels_without_faces(k):
+    with pytest.raises(ValueError, match=r"face level %d outside 0\.\.2" % k):
+        face_matrices(representable(1, 3, QQ), k)
+
+
 # ---------------------------------------------------------------------------
 # morphisms and cokernels
 
@@ -485,6 +478,15 @@ def test_free_morphism_is_valid():
 def test_free_morphism_checks_image_dimension():
     with pytest.raises(ValueError):
         free_morphism([0], representable(1, 2, QQ), [[1, 2]])
+
+
+@pytest.mark.parametrize("sources, images, counts", [
+    ([1], [[1], [1, 0]], "2 generator images for 1 sources"),
+    ([1, 2], [[1]], "1 generator images for 2 sources"),
+])
+def test_free_morphism_matches_images_to_sources(sources, images, counts):
+    with pytest.raises(ValueError, match=counts):
+        free_morphism(sources, representable(1, 3, QQ), images)
 
 
 def test_coker_of_identity_is_zero():

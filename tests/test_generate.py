@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fihom import QQ, ZZ, fimodule, free_morphism, parse, run_all, run_suite, validate
+from fihom import QQ, ZZ, fimodule, free_morphism, parse, run_suite, validate
 from fihom.fimodule import fi_coker
 from fihom.generate import MAX_FB_DIM, gen_coker, gen_complex, gen_free, random_fbdata
 from fihom.linalg import Matrix
@@ -77,11 +77,6 @@ def test_run_suite_is_deterministic():
     a = run_suite("homology", trials=5, seed=7).render("kv")
     b = run_suite("homology", trials=5, seed=7).render("kv")
     assert a == b
-
-
-def test_run_all_covers_every_suite():
-    reports = run_all(trials=3, seed=0)
-    assert sorted(r.suite for r in reports) == sorted(SUITES)
 
 
 def test_report_render_failure_plain():
