@@ -10,6 +10,7 @@ tokens) via the FIHOM_FORMAT variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -369,7 +370,10 @@ def _cmd_verify(args, fmt):
 # parser assembly
 
 
+@functools.cache
 def build_parser():
+    """The `fihom` parser, built by the first call and shared by the later
+    ones: `parse_args` fills a fresh namespace from it each time."""
     top = _Parser(prog="fihom",
                   description="exact homological calculator for FI-modules")
     sub = top.add_subparsers(dest="command", metavar="COMMAND")

@@ -17,8 +17,9 @@ lexicographically on their sorted tuples within a fixed size.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from math import factorial
 from typing import Optional
 
@@ -125,24 +126,74 @@ class FIMorphism:
                 raise ValueError("level %d map has shape %s, expected %s" % (n, m.shape, want))
 
 
-def _coxeter_violations(mats, eye, where):
-    """Violated relations of s_1 .. s_{n-1} = mats: s_i^2 = 1, the braid
-    relation and far commutation, each message prefixed by `where`."""
+_EMPTY_ROW = {-1: 0}
+
+
+def _arrays(m):
+    """(cols, vals) with row i of m = {cols[i]: vals[i]}, or None when some
+    row of m holds two entries or more.
+
+    An empty row reads column -1, value 0, and both lists end with one more
+    such row as a sentinel: composing through column -1 reads the sentinel,
+    so an empty row stays empty in every product.
+    """
+    rows = [r or _EMPTY_ROW for r in m.rows]
+    rows.append(_EMPTY_ROW)
+    cols = [j for r in rows for j in r]
+    if len(cols) != len(rows):
+        return None
+    return cols, [v for r in rows for v in r.values()]
+
+
+def _product(factors):
+    """(cols, vals) of the product of factors given as arrays."""
+    cols, vals = factors[0]
+    for cb, vb in factors[1:]:
+        cols, vals = [cb[k] for k in cols], [x * vb[k] for x, k in zip(vals, cols)]
+    return cols, vals
+
+
+def _violations(ring, relations):
+    """Messages of the relations (message, lhs, rhs) whose two products of
+    matrices differ, in list order.
+
+    When every factor of a relation holds at most one entry per row, its
+    products are composed on `_arrays`, read once per matrix; zeros are
+    never stored, so a composed entry is never zero and the arrays agree
+    exactly when the matrices do.  Otherwise the matrices are multiplied.
+    A factor over another ring than `ring` takes the matrix path, whose
+    product refuses it.
+    """
+    mats = {id(m): m for _, lhs, rhs in relations for m in lhs + rhs}
+    arrays = {k: _arrays(m) if m.ring == ring else None for k, m in mats.items()}
     bad = []
-    for i, s in enumerate(mats, 1):
-        if s @ s != eye:
-            bad.append("%s: s_%d^2 != id" % (where, i))
+    for msg, lhs, rhs in relations:
+        a = [arrays[id(m)] for m in lhs]
+        b = [arrays[id(m)] for m in rhs]
+        if None in a or None in b:
+            differ = reduce(operator.matmul, lhs) != reduce(operator.matmul, rhs)
+        else:
+            differ = _product(a) != _product(b)
+        if differ:
+            bad.append(msg)
+    return bad
+
+
+def _coxeter_relations(mats, eye, where):
+    """Relations of s_1 .. s_{n-1} = mats: s_i^2 = 1, the braid relation
+    and far commutation, each message prefixed by `where`."""
+    rels = [("%s: s_%d^2 != id" % (where, i), (s, s), (eye,))
+            for i, s in enumerate(mats, 1)]
     for i in range(1, len(mats)):
         a, b = mats[i - 1], mats[i]
-        if a @ b @ a != b @ a @ b:
-            bad.append("%s: braid s_%d s_%d s_%d != s_%d s_%d s_%d"
-                       % (where, i, i + 1, i, i + 1, i, i + 1))
+        rels.append(("%s: braid s_%d s_%d s_%d != s_%d s_%d s_%d"
+                     % (where, i, i + 1, i, i + 1, i, i + 1), (a, b, a), (b, a, b)))
     for i in range(1, len(mats)):
         for j in range(i + 2, len(mats) + 1):
             a, b = mats[i - 1], mats[j - 1]
-            if a @ b != b @ a:
-                bad.append("%s: s_%d s_%d != s_%d s_%d" % (where, i, j, j, i))
-    return bad
+            rels.append(("%s: s_%d s_%d != s_%d s_%d" % (where, i, j, j, i),
+                         (a, b), (b, a)))
+    return rels
 
 
 def validate(V: FIModule):
@@ -153,24 +204,23 @@ def validate(V: FIModule):
     s_i iota = iota s_i for i <= n-1, and the new-points relation
     s_{n+1} iota iota = iota iota.
     """
-    bad = []
+    rels = []
     N = V.truncation
     for n in range(2, N + 1):
-        bad += _coxeter_violations(V.trans[n], Matrix.identity(V.ring, V.dims[n]),
+        rels += _coxeter_relations(V.trans[n], Matrix.identity(V.ring, V.dims[n]),
                                    "level %d" % n)
     for n in range(0, N):
         # permutations of n_ commute past the inclusion into n+1_
         for i in range(1, n):
-            lhs = V.transposition(n + 1, i) @ V.iota[n]
-            rhs = V.iota[n] @ V.transposition(n, i)
-            if lhs != rhs:
-                bad.append("levels %d->%d: s_%d iota != iota s_%d" % (n, n + 1, i, i))
+            rels.append(("levels %d->%d: s_%d iota != iota s_%d" % (n, n + 1, i, i),
+                         (V.transposition(n + 1, i), V.iota[n]),
+                         (V.iota[n], V.transposition(n, i))))
     for n in range(1, N):
         # swapping the two freshly added points fixes iota iota
-        ii = V.iota[n] @ V.iota[n - 1]
-        if V.transposition(n + 1, n) @ ii != ii:
-            bad.append("levels %d->%d: s_%d iota iota != iota iota" % (n - 1, n + 1, n))
-    return bad
+        rels.append(("levels %d->%d: s_%d iota iota != iota iota" % (n - 1, n + 1, n),
+                     (V.transposition(n + 1, n), V.iota[n], V.iota[n - 1]),
+                     (V.iota[n], V.iota[n - 1])))
+    return _violations(V.ring, rels)
 
 
 def validate_fbdata(X: FBData):
@@ -183,22 +233,24 @@ def validate_fbdata(X: FBData):
         bad += ["cardinality %d: s_%d has wrong shape" % (k, i)
                 for i, ok in enumerate(shaped, 1) if not ok]
         if all(shaped):
-            bad += _coxeter_violations(mats, Matrix.identity(X.ring, X.dims[k]),
-                                       "cardinality %d" % k)
+            # one cardinality at a time: its shape messages precede its
+            # relations
+            bad += _violations(X.ring, _coxeter_relations(
+                mats, Matrix.identity(X.ring, X.dims[k]), "cardinality %d" % k))
     return bad
 
 
 def validate_morphism(f: FIMorphism):
-    bad = []
     V, W = f.source, f.target
-    for n in range(V.truncation):
-        if f.levels[n + 1] @ V.iota[n] != W.iota[n] @ f.levels[n]:
-            bad.append("naturality square fails at levels %d->%d" % (n, n + 1))
+    rels = [("naturality square fails at levels %d->%d" % (n, n + 1),
+             (f.levels[n + 1], V.iota[n]), (W.iota[n], f.levels[n]))
+            for n in range(V.truncation)]
     for n in range(2, V.truncation + 1):
         for i in range(1, n):
-            if f.levels[n] @ V.transposition(n, i) != W.transposition(n, i) @ f.levels[n]:
-                bad.append("level %d: map does not commute with s_%d" % (n, i))
-    return bad
+            rels.append(("level %d: map does not commute with s_%d" % (n, i),
+                         (f.levels[n], V.transposition(n, i)),
+                         (W.transposition(n, i), f.levels[n])))
+    return _violations(V.ring, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -213,12 +213,17 @@ def gen_complex(seed, ring=QQ, trunc=4) -> FIComplex:
 
 
 def generate(kind, seed, ring=None, trunc=None, dims=None) -> str:
-    """Serialized instance of the requested kind, deterministic in the seed."""
+    """Serialized instance of the requested kind, deterministic in the seed.
+
+    `dims` sets the generator dims of kind 'free' and is refused otherwise.
+    """
     if kind == "free":
         V, X = gen_free(seed, ring=ring or ZZ, trunc=4 if trunc is None else trunc,
                         dims=dims)
         header = "# free module, seed %s, generator dims %s\n" % (seed, list(X.dims))
         return header + serialize(V)
+    if dims is not None and kind in ("coker", "complex"):
+        raise ValueError("dims applies to kind 'free' only, not %r" % (kind,))
     if kind == "coker":
         inst = gen_coker(seed, ring=ring or QQ, trunc=5 if trunc is None else trunc)
         header = "".join(line + "\n" for line in inst.notes())

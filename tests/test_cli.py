@@ -625,3 +625,56 @@ def test_degrees_match_the_golden_output(capsys, monkeypatch, tmp_path):
                     assert code == EXIT_OK
                     out.append(text)
     assert "".join(out).encode() == (DATA / "degrees-golden.kv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_one_parser_tree_and_import_builds_none(tmp_path):
+    """Count the `_Parser` objects made: none by the import, one tree by the
+    first `main` call, none by the later ones."""
+    script = (
+        "import argparse, contextlib, io\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *a, **k):\n"
+        "    made.append(type(self).__name__)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import fihom.cli as cli\n"
+        "print(len(made))\n"
+        "for _ in range(3):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['bounds', 'bahran', '--delta', '2', '--hmax', '3']) == 0\n"
+        "    print(len(made))\n"
+        "print(set(made))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    counts = done.stdout.split()
+    assert counts[0] == "0"
+    assert int(counts[1]) > 0
+    assert counts[2] == counts[3] == counts[1]
+    assert counts[4] == "{'_Parser'}"
+
+
+def test_a_shared_parser_leaks_no_value_into_the_next_call(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["verify", "--suite", "partitions", "--trials", "1"],
+                       env={"FIHOM_FORMAT": "kv"}, monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    assert "trials=1\n" in out
+    code, out, _ = run(capsys, ["verify", "--suite", "partitions"])
+    assert code == EXIT_OK
+    assert "trials=40\n" in out
+
+
+def test_a_usage_error_leaves_the_shared_parser_working(capsys, m2_file):
+    with pytest.raises(SystemExit) as err:
+        main(["homology", m2_file, "--level", "x", "--degree", "0"])
+    assert err.value.code == EXIT_USAGE
+    assert "usage:" in capsys.readouterr().err
+    code, out, _ = run(capsys, ["homology", m2_file, "--level", "3", "--degree", "0"])
+    assert code == EXIT_OK
+    assert out

@@ -394,6 +394,29 @@ def test_validate_complex_empty_on_generated():
     assert validate_complex(W) == []
 
 
+def test_validate_complex_messages_name_the_degree():
+    V = representable(1, 3, ZZ)
+    trans = list(V.trans)
+    trans[3] = (V.trans[3][0].scale(-1), V.trans[3][1])
+    bad_module = fimodule.FIModule(ZZ, 3, V.dims, V.iota, tuple(trans))
+    levels = [Matrix.identity(ZZ, d) for d in V.dims]
+    levels[2] = levels[2].scale(2)
+    levels[3] = Matrix.diagonal(ZZ, 3, 3, [2, 4, 6])
+    bad_map = fimodule.FIMorphism(V, V, tuple(levels))
+    zero = fimodule.FIMorphism(V, bad_module,
+                               tuple(Matrix.zeros(ZZ, d, d) for d in V.dims))
+    W = complex_from_morphisms([bad_module, V, V], [zero, bad_map], q_min=1)
+    # `fihom validate` prints these through ValidationError: keep them as they are
+    assert validate_complex(W) == [
+        "W_1: level 3: braid s_1 s_2 s_1 != s_2 s_1 s_2",
+        "W_1: levels 2->3: s_1 iota != iota s_1",
+        "del_3: naturality square fails at levels 1->2",
+        "del_3: naturality square fails at levels 2->3",
+        "del_3: level 3: map does not commute with s_1",
+        "del_3: level 3: map does not commute with s_2",
+    ]
+
+
 def test_module_lookup_outside_support_is_zero():
     W = identity_complex()
     assert W.module(5).is_zero()

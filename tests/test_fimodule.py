@@ -1,6 +1,8 @@
 """FI-module data: free modules, injections, shift, colimits, cokernels."""
 
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from fihom import (
     CokernelTorsionError,
     FBData,
     FIModule,
+    FIMorphism,
     Matrix,
     QQ,
     ZZ,
@@ -17,6 +20,7 @@ from fihom import (
     fi_coker,
     free_fi_module,
     free_morphism,
+    parse,
     representable,
     representable_basis_injections,
     shift_module,
@@ -28,7 +32,7 @@ from fihom import (
 )
 from fihom import linalg
 from fihom.fimodule import _Injections, _poset_presentation, face_matrices
-from fihom.generate import gen_coker, random_fbdata
+from fihom.generate import gen_coker, gen_complex, gen_free, random_fbdata
 
 from test_homology import doubling_module, old_homology_class
 
@@ -287,6 +291,250 @@ def test_validate_fbdata_catches_broken_involution():
         Y = FBData(X.ring, X.truncation, X.dims, tuple(tuple(t) for t in trans))
         if bad_mat @ bad_mat != Matrix.identity(ZZ, X.dims[2]):
             assert validate_fbdata(Y)
+
+
+def test_validate_morphism_messages_name_each_broken_square():
+    V = representable(1, 3, ZZ)
+    levels = [Matrix.identity(ZZ, d) for d in V.dims]
+    levels[2] = levels[2].scale(2)
+    levels[3] = Matrix.diagonal(ZZ, 3, 3, [2, 4, 6])
+    f = FIMorphism(V, V, tuple(levels))
+    # `fihom validate` prints these through ValidationError: keep them as they are
+    assert validate_morphism(f) == [
+        "naturality square fails at levels 1->2",
+        "naturality square fails at levels 2->3",
+        "level 3: map does not commute with s_1",
+        "level 3: map does not commute with s_2",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# relations on index arrays against the matrix products they replace
+
+
+def old_coxeter_violations(mats, eye, where):
+    """The reference: every relation checked by multiplying the matrices."""
+    bad = []
+    for i, s in enumerate(mats, 1):
+        if s @ s != eye:
+            bad.append("%s: s_%d^2 != id" % (where, i))
+    for i in range(1, len(mats)):
+        a, b = mats[i - 1], mats[i]
+        if a @ b @ a != b @ a @ b:
+            bad.append("%s: braid s_%d s_%d s_%d != s_%d s_%d s_%d"
+                       % (where, i, i + 1, i, i + 1, i, i + 1))
+    for i in range(1, len(mats)):
+        for j in range(i + 2, len(mats) + 1):
+            a, b = mats[i - 1], mats[j - 1]
+            if a @ b != b @ a:
+                bad.append("%s: s_%d s_%d != s_%d s_%d" % (where, i, j, j, i))
+    return bad
+
+
+def old_validate(V):
+    bad = []
+    N = V.truncation
+    for n in range(2, N + 1):
+        bad += old_coxeter_violations(V.trans[n], Matrix.identity(V.ring, V.dims[n]),
+                                      "level %d" % n)
+    for n in range(0, N):
+        for i in range(1, n):
+            lhs = V.transposition(n + 1, i) @ V.iota[n]
+            rhs = V.iota[n] @ V.transposition(n, i)
+            if lhs != rhs:
+                bad.append("levels %d->%d: s_%d iota != iota s_%d" % (n, n + 1, i, i))
+    for n in range(1, N):
+        ii = V.iota[n] @ V.iota[n - 1]
+        if V.transposition(n + 1, n) @ ii != ii:
+            bad.append("levels %d->%d: s_%d iota iota != iota iota" % (n - 1, n + 1, n))
+    return bad
+
+
+def old_validate_morphism(f):
+    bad = []
+    V, W = f.source, f.target
+    for n in range(V.truncation):
+        if f.levels[n + 1] @ V.iota[n] != W.iota[n] @ f.levels[n]:
+            bad.append("naturality square fails at levels %d->%d" % (n, n + 1))
+    for n in range(2, V.truncation + 1):
+        for i in range(1, n):
+            if f.levels[n] @ V.transposition(n, i) != W.transposition(n, i) @ f.levels[n]:
+                bad.append("level %d: map does not commute with s_%d" % (n, i))
+    return bad
+
+
+def _edited(m, edit):
+    """m with `edit` applied to a copy of its rows (zeros stay unstored)."""
+    rows = [dict(r) for r in m.rows]
+    edit(rows)
+    return Matrix(m.ring, m.nrows, m.ncols, rows)
+
+
+def _mutations(m, rng):
+    """Broken copies of m: one entry scaled by -1, 2 or 1/2 (Q), two rows
+    swapped, a row zeroed, and a second entry put in a one-entry row."""
+    full = [i for i, r in enumerate(m.rows) if r]
+    if not full:
+        return []
+    i = rng.choice(full)
+    j = next(iter(m.rows[i]))
+    factors = [-1, 2] + ([Fraction(1, 2)] if m.ring == QQ else [])
+
+    def scaled(c):
+        def edit(rows):
+            rows[i][j] *= c
+        return edit
+
+    def swapped(rows):
+        k = rng.randrange(len(rows))
+        rows[i], rows[k] = rows[k], rows[i]
+
+    def zeroed(rows):
+        rows[i] = {}
+
+    def widened(rows):
+        rows[i][(j + 1) % m.ncols] = 1
+
+    edits = [scaled(c) for c in factors] + [swapped, zeroed]
+    if len(m.rows[i]) == 1 and m.ncols > 1:
+        edits.append(widened)
+    return [_edited(m, e) for e in edits]
+
+
+def _with_iota(V, n, m):
+    return FIModule(V.ring, V.truncation, V.dims,
+                    V.iota[:n] + (m,) + V.iota[n + 1:], V.trans)
+
+
+def _with_trans(V, n, i, m):
+    level = V.trans[n][:i - 1] + (m,) + V.trans[n][i:]
+    return FIModule(V.ring, V.truncation, V.dims, V.iota,
+                    V.trans[:n] + (level,) + V.trans[n + 1:])
+
+
+def _mutated_modules(V, rng, picks=4):
+    spots = ([("iota", n) for n in range(V.truncation) if V.iota[n].nnz()]
+             + [("trans", n, i) for n in range(2, V.truncation + 1)
+                for i in range(1, n) if V.dims[n]])
+    out = []
+    for spot in rng.sample(spots, min(picks, len(spots))):
+        if spot[0] == "iota":
+            out += [_with_iota(V, spot[1], m) for m in _mutations(V.iota[spot[1]], rng)]
+        else:
+            _, n, i = spot
+            out += [_with_trans(V, n, i, m)
+                    for m in _mutations(V.transposition(n, i), rng)]
+    return out
+
+
+def _mutated_morphisms(f, rng, picks=3):
+    spots = [n for n, m in enumerate(f.levels) if m.nnz()]
+    out = []
+    for n in rng.sample(spots, min(picks, len(spots))):
+        out += [FIMorphism(f.source, f.target,
+                           f.levels[:n] + (m,) + f.levels[n + 1:])
+                for m in _mutations(f.levels[n], rng)]
+    return out
+
+
+def _oracle_instances(ring, seed):
+    """(modules, morphisms) from gen_free, gen_coker, shift_module and
+    gen_complex at truncation 4 and 5."""
+    V, _ = gen_free(seed, ring=ring, trunc=5)
+    C = gen_coker(seed, ring=ring, trunc=4).module
+    sd = shift_module(C)
+    W = gen_complex(seed, ring=ring, trunc=4)
+    return [V, C, sd.module] + list(W.modules), [sd.natural] + list(W.diffs)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_validate_on_index_arrays_matches_the_matrix_products(ring, seed):
+    rng = random.Random("arrays:%s:%d" % (ring, seed))
+    modules, morphisms = _oracle_instances(ring, seed)
+    broken = 0
+    for V in modules:
+        for U in [V] + _mutated_modules(V, rng):
+            want = old_validate(U)
+            assert validate(U) == want
+            broken += bool(want)
+    for f in morphisms:
+        for g in [f] + _mutated_morphisms(f, rng):
+            want = old_validate_morphism(g)
+            assert validate_morphism(g) == want
+            broken += bool(want)
+    assert broken > 20
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_fbdata_relations_on_index_arrays_match_the_matrix_products(ring):
+    rng = random.Random("arrays-fb:%s" % ring)
+    checked = 0
+    for seed in range(6):
+        _, X = gen_free(seed, ring=ring, trunc=5)
+        if X.trans is None:
+            continue
+        for k in range(2, X.truncation + 1):
+            for i in range(1, k):
+                for m in _mutations(X.transposition(k, i), rng):
+                    level = X.trans[k][:i - 1] + (m,) + X.trans[k][i:]
+                    Y = FBData(ring, X.truncation, X.dims,
+                               X.trans[:k] + (level,) + X.trans[k + 1:])
+                    mats = [Y.transposition(k, t) for t in range(1, k)]
+                    want = old_coxeter_violations(
+                        mats, Matrix.identity(ring, X.dims[k]), "cardinality %d" % k)
+                    assert validate_fbdata(Y) == want
+                    checked += bool(want)
+    assert checked > 10
+
+
+def test_an_iota_with_an_empty_row_is_checked_on_index_arrays():
+    broken = 0
+    for m in (1, 2):
+        V = representable(m, 4, QQ)
+        for n, iota in enumerate(V.iota):
+            for r in range(iota.nrows):
+                U = _with_iota(V, n, _edited(iota, lambda rows: rows[r].clear()))
+                want = old_validate(U)
+                assert validate(U) == want
+                broken += bool(want)
+    assert broken >= 13
+
+
+def test_a_morphism_with_levels_over_another_ring_is_refused():
+    V = representable(1, 3, ZZ)
+    f = FIMorphism(V, V, tuple(Matrix.identity(QQ, d) for d in V.dims))
+    with pytest.raises(ValueError, match="ring mismatch"):
+        validate_morphism(f)
+
+
+HYPER_FILES = sorted((Path(__file__).parent.parent / "bench" / "data" / "hyper")
+                     .glob("*.fic"))
+
+
+def test_validating_one_entry_rows_multiplies_no_matrix(monkeypatch):
+    """Free-module data (permutation structure maps) is checked on index
+    arrays alone; a transposition with a two-entry row takes the matrix
+    path."""
+    assert len(HYPER_FILES) == 4
+    modules = [representable(2, 6, ZZ)]
+    modules += [V for path in HYPER_FILES for V in parse(str(path)).modules]
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def spy(a, b):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", spy)
+    assert [validate(V) for V in modules] == [[]] * len(modules)
+    assert calls == []
+    V = modules[0]
+    s = V.transposition(3, 1)
+    free = next(j for j in range(s.ncols) if j not in s.rows[0])
+    wide = _with_trans(V, 3, 1, _edited(s, lambda rows: rows[0].update({free: 1})))
+    assert validate(wide)
+    assert calls
 
 
 # ---------------------------------------------------------------------------

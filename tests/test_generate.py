@@ -66,6 +66,19 @@ def test_gen_coker_notes_survive_serialization(tmp_path):
     assert validate(parse(text)) == []
 
 
+@pytest.mark.parametrize("kind", ["coker", "complex"])
+def test_generate_refuses_dims_for_a_kind_other_than_free(kind):
+    with pytest.raises(ValueError, match="dims applies to kind 'free' only, not '%s'" % kind):
+        generate.generate(kind, 1, dims=(1, 2))
+    assert generate.generate("free", 1, dims=(1, 2)).startswith(
+        "# free module, seed 1, generator dims [1, 2, 0, 0, 0]\n")
+
+
+def test_generate_names_an_unknown_kind_before_its_dims():
+    with pytest.raises(ValueError, match="unknown kind 'torus'"):
+        generate.generate("torus", 1, dims=(1,))
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_suite_smoke(suite):
     rep = run_suite(suite, trials=4, seed=11)

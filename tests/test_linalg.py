@@ -1,6 +1,7 @@
 """Exact linear algebra: ranks, kernels, Smith form, homology classes."""
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 from math import gcd, lcm, prod
@@ -58,6 +59,60 @@ def test_matmul_and_identity():
     assert A @ I == A
     assert I @ A == A
     assert (A @ zmat([[0, 1], [1, 0]])).to_rows() == [[2, 1], [4, 3]]
+
+
+def old_matmul_rows(A, B):
+    """Rows of A @ B by the accumulating loop, for every row length."""
+    rows = []
+    for r in A.rows:
+        acc = {}
+        for k, v in r.items():
+            for j, w in B.rows[k].items():
+                s = acc.get(j)
+                s = v * w if s is None else s + v * w
+                if s:
+                    acc[j] = s
+                elif j in acc:
+                    del acc[j]
+        rows.append(acc)
+    return rows
+
+
+def _typed(rows):
+    """Each row as its (column, entry type, entry) list, in key order."""
+    return [[(j, type(v), v) for j, v in r.items()] for r in rows]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_one_term_rows_multiply_as_the_accumulating_loop(ring):
+    rng = random.Random("one-term:%s" % ring)
+    entries = [1, -1, 2, -3]
+    if ring == QQ:
+        entries += [Fraction(1, 1), Fraction(-2, 1), Fraction(1, 2), Fraction(-5, 3)]
+
+    def sparse(nrows, ncols, max_terms):
+        rows = []
+        for _ in range(nrows):
+            cols = rng.sample(range(ncols), min(ncols, rng.randint(0, max_terms)))
+            rows.append({j: rng.choice(entries) for j in cols})
+        return Matrix(ring, nrows, ncols, rows)
+
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+               for _ in range(40)]
+    one_term = 0
+    for m, k, n in shapes:
+        A, B = sparse(m, k, rng.choice([1, 3])), sparse(k, n, 3)
+        got = A @ B
+        assert got.shape == (m, n)
+        assert _typed(got.rows) == _typed(old_matmul_rows(A, B))
+        one_term += sum(len(r) == 1 for r in A.rows)
+    assert one_term > 50
+    # a stored Fraction(1, 1) keeps the product's entries Fractions
+    A = Matrix(QQ, 1, 1, [{0: Fraction(1, 1)}])
+    B = Matrix(QQ, 1, 2, [{0: 3, 1: Fraction(1, 2)}])
+    assert _typed((A @ B).rows) == [[(0, Fraction, 3), (1, Fraction, Fraction(1, 2))]]
+    assert _typed((A @ B).rows) == _typed(old_matmul_rows(A, B))
 
 
 def test_ring_mismatch_rejected():
