@@ -14,10 +14,10 @@ from .linalg import (
 )
 from .fimodule import (
     CokernelTorsionError, FBData, FIModule, FIMorphism, ShiftData,
-    colim_compare, constant_module, direct_sum, face_matrices,
-    fi_coker, free_fi_module, free_morphism, regular_fbdata, representable,
+    colim_compare, direct_sum, face_matrices, fi_coker, free_fi_module,
+    free_morphism, regular_fbdata, representable,
     representable_basis_injections, shift_module, truncate, validate,
-    validate_fbdata, validate_morphism, zero_module,
+    validate_morphism, zero_module,
 )
 from .homology import (
     DegreeProfile, Estimate, FIHComplexAt, degrees, delta_estimate,
@@ -25,8 +25,7 @@ from .homology import (
 )
 from .complexes import (
     FIComplex, TotalComplexAt, complex_from_morphisms, hyper_degrees,
-    hyper_total_complex, levelwise_homology_module, shift_cone_check,
-    shift_three_term_exactness, validate_complex,
+    hyper_total_complex, levelwise_homology_module, validate_complex,
 )
 from .bounds import (
     BoundReport, CubeSpec, DegreeSeq, NEG_INF, POS_INF, bahran_bounds,

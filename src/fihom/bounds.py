@@ -79,9 +79,6 @@ class DegreeSeq:
                 % (k, sorted(self.entries)))
         return self.entries[k]
 
-    def known(self, k):
-        return k in self.entries
-
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .fimodule import (
-    FIModule, _Injections, _quotient_module, shift_module, validate,
-    validate_morphism, zero_module,
+    FIModule, _Injections, _quotient_module, validate, validate_morphism,
+    zero_module,
 )
 from .homology import (
     DegreeProfile, _Cube, _cube_total, _degree_profile, _differentials,
@@ -161,21 +161,10 @@ def levelwise_homology_module(W: FIComplex, k) -> FIModule:
 # the shift cone identity
 
 
-def _check_level(V, n):
-    """Refuse a level n outside 0..N-1: the cone at n reads the cube at n + 1."""
-    if not 0 <= n < V.truncation:
-        raise ValueError("level %d outside 0..%d: need n + 1 <= truncation"
-                         % (n, V.truncation - 1))
-
-
-def _cube_chain_map(V, n, sd=None, A=None):
-    """(A, B, phi): the cube complexes at level n of V and of its shift SV,
-    and the chain map phi: A -> B induced by the natural map V -> SV.
-    `sd` = shift_module(V) and `A` = fih_chain_complex(V, n) are built
-    unless the caller has them."""
-    _check_level(V, n)
-    sd = shift_module(V) if sd is None else sd
-    A = fih_chain_complex(V, n) if A is None else A
+def _cube_chain_map(V, n, sd, A):
+    """(A, B, phi): the cube complexes at level n of V (the given A) and of
+    its shift SV (sd = shift_module(V)), and the chain map phi: A -> B
+    induced by the natural map V -> SV."""
     B = fih_chain_complex(sd.module, n)
     phi = []
     for q in range(n + 1):
@@ -187,10 +176,10 @@ def _cube_chain_map(V, n, sd=None, A=None):
 
 
 def _shift_levels(V, top, sd):
-    """(A, B, phi, C) for n = 1..top: `_cube_chain_map(V, n)` and the cube
-    complex C of V at n + 1, which is the next level's A.  So each cube of
-    V at 1..top+1 and of SV at 1..top is built once, on the shift sd of V."""
-    A = None
+    """(A, B, phi, C) for n = 1..top: `_cube_chain_map` at level n and the
+    cube complex C of V at n + 1, which is the next level's A.  So each cube
+    of V at 1..top+1 and of SV at 1..top is built once, on the shift sd of V."""
+    A = fih_chain_complex(V, 1) if top > 0 else None
     for n in range(1, top + 1):
         C = fih_chain_complex(V, n + 1)
         yield _cube_chain_map(V, n, sd, A) + (C,)
@@ -226,18 +215,11 @@ def _signed_regroup(C, A, B, p):
     return Matrix(V.ring, adim + bdim, C.size(p), rows)
 
 
-def shift_cone_check(V: FIModule, n) -> bool:
-    """Does the cube complex at n+1 regroup to cone(cube V(n) -> cube SV(n))?
-
-    The (n+1)-cube splits along the element 0 into the subsets avoiding
-    it (the cube of V at n) and those containing it (the cube of SV at
-    n); checked as exact matrix equality after the signed regrouping.
-    """
-    return _cone_holds(*_cube_chain_map(V, n), fih_chain_complex(V, n + 1))
-
-
 def _cone_holds(A, B, phi, C):
-    """`shift_cone_check` on the cubes A, B, C and phi of its level."""
+    """Does the cube C of V at n+1 regroup to cone(phi: A -> B)?  Its subsets
+    avoiding the element 0 form the cube A of V at n, those containing it
+    the cube B of SV at n; checked as exact matrix equality after the
+    signed regrouping."""
     n = A.level
     for p in range(0, n + 2):
         if C.size(p) != A.size(p - 1) + B.size(p):
@@ -263,24 +245,10 @@ def _cone_holds(A, B, phi, C):
     return True
 
 
-def shift_three_term_exactness(V: FIModule, n, a) -> bool:
-    """Exactness of H_a V(n_) -> H_a SV(n_) -> H_a V(n+1_) at the middle, over Q.
-
-    The maps come from the subcube decomposition: the first is induced by
-    the natural chain map, the second by the signed B-part inclusion into
-    the regrouped (n+1)-cube.
-    """
-    if V.ring != QQ:
-        raise ValueError("three-term exactness check runs over Q")
-    _check_level(V, n)
-    if not 0 <= a <= n + 1:
-        raise ValueError("degree %d outside 0..%d" % (a, n + 1))
-    return _three_term_exact(*_cube_chain_map(V, n), fih_chain_complex(V, n + 1), a)
-
-
 def _three_term_exact(A, B, phi, C, a):
-    """`shift_three_term_exactness` at H_a on the cubes A, B, C and phi of
-    its level."""
+    """Exactness of H_a V(n_) -> H_a SV(n_) -> H_a V(n+1_) at the middle, over
+    Q, on the cubes of `_shift_levels` at n: phi induces the first map, the
+    signed B-part inclusion into the regrouped cube C the second."""
     n = A.level
     qa = QuotientCoords(A.boundary_in(a), A.boundary_out(a))
     qb = QuotientCoords(B.boundary_in(a), B.boundary_out(a))

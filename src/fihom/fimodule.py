@@ -48,8 +48,11 @@ class FBData:
             raise ValueError("dims length != truncation + 1")
         if any(d < 0 for d in self.dims):
             raise ValueError("negative dimension")
-        if self.trans is not None and len(self.trans) != self.truncation + 1:
+        if self.trans is None:
+            return
+        if len(self.trans) != self.truncation + 1:
             raise ValueError("trans length != truncation + 1")
+        _check_transpositions(self.ring, self.dims, self.trans, "cardinality")
 
     def transposition(self, k, i):
         """Matrix of s_i at cardinality k (1 <= i <= k-1)."""
@@ -66,6 +69,18 @@ class FBData:
             if d:
                 top = k
         return top
+
+
+def _check_transpositions(ring, dims, trans, where):
+    """Refuse trans unless trans[n] holds s_1 .. s_{n-1}, each a square
+    matrix of size dims[n] over ring, at each level n."""
+    for n, mats in enumerate(trans):
+        if len(mats) != max(0, n - 1):
+            raise ValueError("%s %d needs %d transpositions, got %d"
+                             % (where, n, max(0, n - 1), len(mats)))
+        for m in mats:
+            if m.shape != (dims[n], dims[n]) or m.ring != ring:
+                raise ValueError("bad transposition shape at %s %d" % (where, n))
 
 
 @dataclass(frozen=True)
@@ -85,13 +100,7 @@ class FIModule:
             if m.shape != (self.dims[n + 1], self.dims[n]) or m.ring != self.ring:
                 raise ValueError("iota[%d] has shape %s, expected %s"
                                  % (n, m.shape, (self.dims[n + 1], self.dims[n])))
-        for n, mats in enumerate(self.trans):
-            if len(mats) != max(0, n - 1):
-                raise ValueError("level %d needs %d transpositions, got %d"
-                                 % (n, max(0, n - 1), len(mats)))
-            for m in mats:
-                if m.shape != (self.dims[n], self.dims[n]) or m.ring != self.ring:
-                    raise ValueError("bad transposition shape at level %d" % n)
+        _check_transpositions(self.ring, self.dims, self.trans, "level")
 
     def transposition(self, n, i):
         return self.trans[n][i - 1]
@@ -124,6 +133,8 @@ class FIMorphism:
             want = (self.target.dims[n], self.source.dims[n])
             if m.shape != want:
                 raise ValueError("level %d map has shape %s, expected %s" % (n, m.shape, want))
+            if m.ring != self.source.ring:
+                raise ValueError("ring mismatch at level %d" % n)
 
 
 _EMPTY_ROW = {-1: 0}
@@ -153,7 +164,7 @@ def _product(factors):
     return cols, vals
 
 
-def _violations(ring, relations):
+def _violations(relations):
     """Messages of the relations (message, lhs, rhs) whose two products of
     matrices differ, in list order.
 
@@ -161,11 +172,9 @@ def _violations(ring, relations):
     products are composed on `_arrays`, read once per matrix; zeros are
     never stored, so a composed entry is never zero and the arrays agree
     exactly when the matrices do.  Otherwise the matrices are multiplied.
-    A factor over another ring than `ring` takes the matrix path, whose
-    product refuses it.
     """
     mats = {id(m): m for _, lhs, rhs in relations for m in lhs + rhs}
-    arrays = {k: _arrays(m) if m.ring == ring else None for k, m in mats.items()}
+    arrays = {k: _arrays(m) for k, m in mats.items()}
     bad = []
     for msg, lhs, rhs in relations:
         a = [arrays[id(m)] for m in lhs]
@@ -220,24 +229,7 @@ def validate(V: FIModule):
         rels.append(("levels %d->%d: s_%d iota iota != iota iota" % (n - 1, n + 1, n),
                      (V.transposition(n + 1, n), V.iota[n], V.iota[n - 1]),
                      (V.iota[n], V.iota[n - 1])))
-    return _violations(V.ring, rels)
-
-
-def validate_fbdata(X: FBData):
-    bad = []
-    if X.trans is None:
-        return bad
-    for k in range(2, X.truncation + 1):
-        mats = [X.transposition(k, i) for i in range(1, k)]
-        shaped = [s.shape == (X.dims[k], X.dims[k]) for s in mats]
-        bad += ["cardinality %d: s_%d has wrong shape" % (k, i)
-                for i, ok in enumerate(shaped, 1) if not ok]
-        if all(shaped):
-            # one cardinality at a time: its shape messages precede its
-            # relations
-            bad += _violations(X.ring, _coxeter_relations(
-                mats, Matrix.identity(X.ring, X.dims[k]), "cardinality %d" % k))
-    return bad
+    return _violations(rels)
 
 
 def validate_morphism(f: FIMorphism):
@@ -250,7 +242,7 @@ def validate_morphism(f: FIMorphism):
             rels.append(("level %d: map does not commute with s_%d" % (n, i),
                          (f.levels[n], V.transposition(n, i)),
                          (W.transposition(n, i), f.levels[n])))
-    return _violations(V.ring, rels)
+    return _violations(rels)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +433,6 @@ def representable_basis_injections(m, n):
         for g in perms:
             out.append(tuple(S[g[x]] for x in range(m)))
     return out
-
-
-def constant_module(N, ring, name="M(0)"):
-    """M(0): rank one at every level, all structure maps identity."""
-    return representable(0, N, ring, name=name)
 
 
 def zero_module(N, ring):

@@ -192,10 +192,12 @@ class DegreeProfile:
     """t_k = max{n <= truncation : H_k V(n_) != 0} for the observed window.
 
     values[k] is that maximum, or None when no nonvanishing level was
-    observed.  certified[k] is True when the value is exact, i.e. the
-    window shows the last nonvanishing level strictly below the
-    truncation; a value at the truncation itself, or None, is only the
-    truncated observation.
+    observed.  certified[k] is True when the last nonvanishing level seen
+    lies strictly below the truncation.  It does not make the value exact:
+    the window cannot see a level above the truncation (M(1) and
+    M(1) (+) M(6) at truncation 4 have the same data and both read a
+    certified t_0 = 1, but the t_0 of the sum is 6).  A value at the
+    truncation itself, or None, is the truncated observation.
     """
 
     truncation: int
@@ -273,10 +275,6 @@ class Estimate:
 
     value: int
     certain: bool
-    note: str = ""
-
-    def __str__(self):
-        return "%d%s" % (self.value, "" if self.certain else " (estimate)")
 
 
 def hmax_estimate(V: FIModule) -> Estimate:
@@ -296,7 +294,7 @@ def hmax_estimate(V: FIModule) -> Estimate:
     for n in range(N):
         if rank(ev(tuple(range(n)), N)) < V.dims[n]:
             best = n
-    return Estimate(best, certain=False, note="kernel of inclusion into top level")
+    return Estimate(best, certain=False)
 
 
 def delta_estimate(V: FIModule) -> Estimate:
@@ -316,10 +314,8 @@ def delta_estimate(V: FIModule) -> Estimate:
         window = min(2, W.truncation + 1)
         if all(W.dims[-(t + 1)] == 0 for t in range(window)):
             certain = all(d == 0 for d in W.dims) and W.truncation >= 1
-            return Estimate(j - 1, certain,
-                            note="derivative %d vanishes in window" % j)
+            return Estimate(j - 1, certain)
         if W.truncation == 0:
-            return Estimate(j, certain=False,
-                            note="no stabilization within truncation")
+            return Estimate(j, certain=False)
         W = fi_coker(shift_module(W).natural)
         j += 1

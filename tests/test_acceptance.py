@@ -18,8 +18,9 @@ from fihom import (
     det, fih_chain_complex, free_fi_module, gan_li_bounds, gen_coker,
     gen_complex, gen_free, hmax_estimate, hyper_degrees, hyper_total_complex,
     levelwise_homology_module, partition_min, partition_min_exhaustive,
-    shift_cone_check, snf,
+    shift_module, snf,
 )
+from fihom.complexes import _cone_holds, _shift_levels
 from fihom.generate import random_fbdata
 
 
@@ -182,10 +183,12 @@ def test_criterion_07_shift_cone_identification():
                           trunc=5).module
         else:
             V, _ = gen_free("acc7:%d" % i, ring=ZZ if i % 3 else QQ, trunc=5)
-        for n in range(1, V.truncation):
-            assert shift_cone_check(V, n), \
+        levels = _shift_levels(V, V.truncation - 1, shift_module(V))
+        for n, cubes in enumerate(levels, 1):
+            assert _cone_holds(*cubes), \
                 "cone identification fails at n=%d on instance %d" % (n, i)
             checked += 1
+    assert checked == 40
     print("criterion 07 PASS: cone identification on 10 modules, "
           "%d levels" % checked)
 

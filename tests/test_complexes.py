@@ -15,7 +15,6 @@ from fihom import (
     QQ,
     ZZ,
     complex_from_morphisms,
-    constant_module,
     degrees,
     fih_group,
     fih_chain_complex,
@@ -27,12 +26,11 @@ from fihom import (
     parse,
     representable,
     shift_module,
-    shift_cone_check,
-    shift_three_term_exactness,
     validate_complex,
     zero_module,
 )
 from fihom import complexes, fimodule, homology, linalg
+from fihom.complexes import _cone_holds, _shift_levels, _three_term_exact
 from fihom.fimodule import face_matrices
 from fihom.generate import gen_coker, gen_complex, gen_free, random_fbdata
 from fihom.homology import _check_square_zero, subset_layout
@@ -92,7 +90,7 @@ def test_total_differential_squares_to_zero():
 
 
 def test_derivative_of_constant_module_is_acyclic():
-    W = derivative_two_term(constant_module(4, ZZ))
+    W = derivative_two_term(representable(0, 4, ZZ))
     for n in range(4):
         T = hyper_total_complex(W, n)
         for m in range(T.m_min, T.m_max + 1):
@@ -335,7 +333,7 @@ def test_block_writes_never_overlap(monkeypatch):
         W = gen_complex("overlap:%s" % ring, ring=ring, trunc=3)
         for n in range(W.truncation + 1):
             hyper_total_complex(W, n)
-        assert shift_cone_check(V, 2)
+        assert shift_cones(V, 2) == [True, True]
     eye = Matrix.identity(QQ, 2)
     assert block_matrix(QQ, [2, 2], [2, 2], {(0, 0): eye, (1, 1): eye, (0, 1): eye}) \
         == Matrix.from_rows(QQ, [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -345,7 +343,7 @@ def test_block_writes_never_overlap(monkeypatch):
 
 def test_both_square_zero_messages_survive():
     # s_1 at level 2 acting by -1 breaks s_1 o iota = iota: the cube d^2 fails
-    V = constant_module(3, ZZ)
+    V = representable(0, 3, ZZ)
     trans = list(V.trans)
     trans[2] = (-V.trans[2][0],)
     bad = dataclasses.replace(V, trans=tuple(trans))
@@ -353,7 +351,7 @@ def test_both_square_zero_messages_survive():
                        match=r"d\^2 != 0 at \(level 2, degree 2\): structure maps"):
         fih_chain_complex(bad, 2)
     # del: M(0) -> M(0) is 1 at level 0 and 0 above, so not natural
-    W0, W1 = constant_module(2, ZZ), constant_module(2, ZZ)
+    W0, W1 = representable(0, 2, ZZ), representable(0, 2, ZZ)
     levels = (Matrix.identity(ZZ, 1),) + (Matrix.zeros(ZZ, 1, 1),) * 2
     W = complex_from_morphisms([W0, W1], [FIMorphism(W1, W0, levels)])
     assert hyper_total_complex(W, 0).homology(0).is_zero()
@@ -427,58 +425,49 @@ def test_module_lookup_outside_support_is_zero():
 # the shift cone
 
 
+def shift_levels(V, top):
+    """The cubes (A, B, phi, C) of the shift cone at n = 1..top."""
+    return _shift_levels(V, top, shift_module(V))
+
+
+def shift_cones(V, top):
+    """Whether the cube of V at n + 1 is the cone at n, for n = 1..top."""
+    return [_cone_holds(*cubes) for cubes in shift_levels(V, top)]
+
+
 def test_shift_cone_constant_module():
-    assert shift_cone_check(constant_module(2, ZZ), 1)
+    assert shift_cones(representable(0, 2, ZZ), 1) == [True]
 
 
 def test_shift_cone_point_module():
-    V = representable(1, 4, ZZ)
-    for n in range(1, 4):
-        assert shift_cone_check(V, n)
+    assert shift_cones(representable(1, 4, ZZ), 3) == [True] * 3
 
 
 def test_shift_cone_zero_module():
-    assert shift_cone_check(zero_module(2, QQ), 1)
+    assert shift_cones(zero_module(2, QQ), 1) == [True]
 
 
 def test_shift_cone_on_cokernels():
     for i in range(3):
         V = gen_coker("cone:%d" % i, ring=QQ, trunc=4).module
-        for n in range(1, 4):
-            assert shift_cone_check(V, n)
+        assert shift_cones(V, 3) == [True] * 3
 
 
 def test_shift_cone_truncation_guard():
-    with pytest.raises(ValueError):
-        shift_cone_check(constant_module(2, ZZ), 2)
+    """The cone at n = N reads the cube at N + 1, which the data lacks."""
+    with pytest.raises(ValueError, match="level 3 outside truncation 2"):
+        list(shift_levels(representable(0, 2, ZZ), 2))
 
 
 def test_three_term_exactness():
     for i in range(3):
         V = gen_coker("les:%d" % i, ring=QQ, trunc=4).module
+        cubes = list(shift_levels(V, 2))[-1]
         for a in range(4):
-            assert shift_three_term_exactness(V, 2, a)
-
-
-@pytest.mark.parametrize("n", [-1, -3, 4, 6])
-def test_shift_checks_refuse_a_level_outside_the_truncation(n):
-    """The cone at n reads the cube at n + 1, so n runs over 0..N-1."""
-    V = representable(1, 4, QQ)
-    for check in (lambda: shift_cone_check(V, n),
-                  lambda: shift_three_term_exactness(V, n, 0)):
-        with pytest.raises(ValueError) as err:
-            check()
-        assert str(err.value) == "level %d outside 0..3: need n + 1 <= truncation" % n
-
-
-@pytest.mark.parametrize("a", [-1, -2, 5, 9])
-def test_three_term_exactness_refuses_a_degree_outside_the_cube(a):
-    """H_a of the (n+1)-cube has a in 0..n+1."""
-    V = representable(1, 4, QQ)
-    with pytest.raises(ValueError) as err:
-        shift_three_term_exactness(V, 3, a)
-    assert str(err.value) == "degree %d outside 0..4" % a
-    assert all(shift_three_term_exactness(V, 3, b) for b in range(5))
+            assert _three_term_exact(*cubes, a)
+    # at the top level of M(1) the (n+1)-cube has every degree a = 0..4
+    cubes = list(shift_levels(representable(1, 4, QQ), 3))[-1]
+    assert all(_three_term_exact(*cubes, a) for a in range(5))
 
 
 def test_the_shift_suite_builds_each_cube_and_shift_once(monkeypatch):
@@ -507,5 +496,5 @@ def test_the_shift_suite_builds_each_cube_and_shift_once(monkeypatch):
 
 
 def test_three_term_exactness_needs_rationals():
-    with pytest.raises(ValueError):
-        shift_three_term_exactness(constant_module(3, ZZ), 1, 0)
+    with pytest.raises(ValueError, match="QuotientCoords works over Q"):
+        _three_term_exact(*next(shift_levels(representable(0, 3, ZZ), 1)), 0)

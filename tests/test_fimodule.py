@@ -15,7 +15,6 @@ from fihom import (
     QQ,
     ZZ,
     colim_compare,
-    constant_module,
     direct_sum,
     fi_coker,
     free_fi_module,
@@ -26,12 +25,13 @@ from fihom import (
     shift_module,
     truncate,
     validate,
-    validate_fbdata,
     validate_morphism,
     zero_module,
 )
 from fihom import linalg
-from fihom.fimodule import _Injections, _poset_presentation, face_matrices
+from fihom.fimodule import (
+    _Injections, _coxeter_relations, _poset_presentation, _violations, face_matrices,
+)
 from fihom.generate import gen_coker, gen_complex, gen_free, random_fbdata
 
 from test_homology import doubling_module, old_homology_class
@@ -268,10 +268,21 @@ def test_validate_messages_name_each_broken_relation():
     ]
 
 
+def fb_violations(X, k):
+    """The Coxeter relations that X's transpositions at cardinality k break."""
+    mats = [X.transposition(k, i) for i in range(1, k)]
+    return _violations(_coxeter_relations(
+        mats, Matrix.identity(X.ring, X.dims[k]), "cardinality %d" % k))
+
+
 def test_validate_fbdata_reports_a_wrong_shape():
     eye2, eye3 = Matrix.identity(ZZ, 2), Matrix.identity(ZZ, 3)
-    X = FBData(ZZ, 3, (1, 1, 2, 2), ((), (), (eye2,), (eye2, eye3)))
-    assert validate_fbdata(X) == ["cardinality 3: s_2 has wrong shape"]
+    with pytest.raises(ValueError, match="bad transposition shape at cardinality 3"):
+        FBData(ZZ, 3, (1, 1, 2, 2), ((), (), (eye2,), (eye2, eye3)))
+    with pytest.raises(ValueError, match="bad transposition shape at cardinality 2"):
+        FBData(ZZ, 2, (1, 1, 2), ((), (), (Matrix.identity(QQ, 2),)))
+    with pytest.raises(ValueError, match="cardinality 2 needs 1 transpositions, got 0"):
+        FBData(ZZ, 2, (1, 1, 2), ((), (), ()))
 
 
 def test_zero_iota_is_valid_module_data():
@@ -282,7 +293,7 @@ def test_zero_iota_is_valid_module_data():
 
 def test_validate_fbdata_catches_broken_involution():
     X = random_fbdata(random.Random("fb:1"), ZZ, 3)
-    assert validate_fbdata(X) == []
+    assert all(fb_violations(X, k) == [] for k in range(2, 4))
     if X.trans is not None and X.dims[2] >= 1:
         bad_mat = Matrix.from_rows(ZZ, [[1] * X.dims[2]] * X.dims[2],
                                    ncols=X.dims[2])
@@ -290,7 +301,7 @@ def test_validate_fbdata_catches_broken_involution():
         trans[2] = [bad_mat]
         Y = FBData(X.ring, X.truncation, X.dims, tuple(tuple(t) for t in trans))
         if bad_mat @ bad_mat != Matrix.identity(ZZ, X.dims[2]):
-            assert validate_fbdata(Y)
+            assert fb_violations(Y, 2)
 
 
 def test_validate_morphism_messages_name_each_broken_square():
@@ -483,7 +494,7 @@ def test_fbdata_relations_on_index_arrays_match_the_matrix_products(ring):
                     mats = [Y.transposition(k, t) for t in range(1, k)]
                     want = old_coxeter_violations(
                         mats, Matrix.identity(ring, X.dims[k]), "cardinality %d" % k)
-                    assert validate_fbdata(Y) == want
+                    assert fb_violations(Y, k) == want
                     checked += bool(want)
     assert checked > 10
 
@@ -503,9 +514,8 @@ def test_an_iota_with_an_empty_row_is_checked_on_index_arrays():
 
 def test_a_morphism_with_levels_over_another_ring_is_refused():
     V = representable(1, 3, ZZ)
-    f = FIMorphism(V, V, tuple(Matrix.identity(QQ, d) for d in V.dims))
     with pytest.raises(ValueError, match="ring mismatch"):
-        validate_morphism(f)
+        FIMorphism(V, V, tuple(Matrix.identity(QQ, d) for d in V.dims))
 
 
 HYPER_FILES = sorted((Path(__file__).parent.parent / "bench" / "data" / "hyper")
@@ -561,7 +571,7 @@ def test_zero_module_is_zero():
     Z = zero_module(3, QQ)
     assert Z.dims == (0, 0, 0, 0)
     assert Z.is_zero()
-    assert not constant_module(3, QQ).is_zero()
+    assert not representable(0, 3, QQ).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +579,8 @@ def test_zero_module_is_zero():
 
 
 def test_shift_constant_is_constant_with_identity_map():
-    sd = shift_module(constant_module(3, ZZ))
-    assert same_structure(sd.module, constant_module(2, ZZ))
+    sd = shift_module(representable(0, 3, ZZ))
+    assert same_structure(sd.module, representable(0, 2, ZZ))
     assert all(m == Matrix.identity(ZZ, 1) for m in sd.natural.levels)
 
 
@@ -591,7 +601,7 @@ def test_shift_natural_map_is_a_morphism():
 
 def test_shift_needs_positive_truncation():
     with pytest.raises(ValueError):
-        shift_module(constant_module(0, ZZ))
+        shift_module(representable(0, 0, ZZ))
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +707,7 @@ def test_colim_eliminates_c_and_p_once_each(monkeypatch):
 
 def test_colim_rejects_negative_cutoff():
     with pytest.raises(ValueError):
-        colim_compare(constant_module(2, ZZ), 1, -1)
+        colim_compare(representable(0, 2, ZZ), 1, -1)
 
 
 @pytest.mark.parametrize("n", [-1, -4, 4])
@@ -745,14 +755,14 @@ def test_coker_of_identity_is_zero():
 
 
 def test_coker_of_zero_map_is_target():
-    target = constant_module(3, QQ)
+    target = representable(0, 3, QQ)
     f = free_morphism([1], target, [[0]])
     C = fi_coker(f)
     assert same_structure(C, target)
 
 
 def test_coker_of_augmentation_is_skyscraper():
-    target = constant_module(3, QQ)
+    target = representable(0, 3, QQ)
     f = free_morphism([1], target, [[1]])
     C = fi_coker(f)
     assert C.dims == (1, 0, 0, 0)

@@ -16,7 +16,6 @@ from fihom import (
     Matrix,
     QQ,
     ZZ,
-    constant_module,
     degrees,
     delta_estimate,
     direct_sum,
@@ -40,7 +39,7 @@ from fihom.generate import gen_coker, gen_complex, gen_free
 
 def skyscraper(ring=QQ, trunc=3):
     """The cokernel of the augmentation M(1) -> M(0): rank 1 at level 0."""
-    target = constant_module(trunc, ring)
+    target = representable(0, trunc, ring)
     return fi_coker(free_morphism([1], target, [[1]]))
 
 
@@ -49,7 +48,7 @@ def skyscraper(ring=QQ, trunc=3):
 
 
 def test_constant_module_cube_is_simplex_boundary():
-    C = fih_chain_complex(constant_module(3, ZZ), 2)
+    C = fih_chain_complex(representable(0, 3, ZZ), 2)
     assert [C.size(p) for p in range(3)] == [1, 2, 1]
     assert C.differential(1).to_rows() == [[-1, 1]]
     assert C.differential(2).to_rows() == [[1], [1]]
@@ -58,7 +57,7 @@ def test_constant_module_cube_is_simplex_boundary():
 
 
 def test_constant_module_homology_all_levels():
-    V = constant_module(4, ZZ)
+    V = representable(0, 4, ZZ)
     assert fih_group(V, 0, 0) == AbelianClass(1)
     for n in range(1, 5):
         for p in range(n + 1):
@@ -72,12 +71,12 @@ def test_point_module_at_level_one():
 
 
 def test_level_zero_is_the_value_at_empty_set():
-    assert fih_group(constant_module(2, ZZ), 0, 0) == AbelianClass(1)
+    assert fih_group(representable(0, 2, ZZ), 0, 0) == AbelianClass(1)
     assert fih_group(representable(1, 2, ZZ), 0, 0).is_zero()
 
 
 def test_degree_guard():
-    V = constant_module(2, ZZ)
+    V = representable(0, 2, ZZ)
     with pytest.raises(ValueError):
         fih_group(V, 1, 2)
     with pytest.raises(ValueError):
@@ -370,9 +369,9 @@ def test_degrees_of_zero_module():
 
 def test_degrees_kmax_guard():
     with pytest.raises(ValueError):
-        degrees(constant_module(2, ZZ), 3)
+        degrees(representable(0, 2, ZZ), 3)
     with pytest.raises(ValueError, match="negative"):
-        degrees(constant_module(2, ZZ), -1)
+        degrees(representable(0, 2, ZZ), -1)
 
 
 def _alive_at_each_build(monkeypatch, module, builder, run):
@@ -442,7 +441,7 @@ def test_hmax_of_skyscraper():
 
 
 def test_hmax_of_constant_module():
-    assert hmax_estimate(constant_module(3, ZZ)).value == -1
+    assert hmax_estimate(representable(0, 3, ZZ)).value == -1
 
 
 def test_delta_of_zero_module():
@@ -456,7 +455,7 @@ def test_delta_of_point_module():
 
 
 def test_delta_of_constant_module():
-    assert delta_estimate(constant_module(4, QQ)).value == 0
+    assert delta_estimate(representable(0, 4, QQ)).value == 0
 
 
 def test_delta_of_rank_two_free():
@@ -465,7 +464,7 @@ def test_delta_of_rank_two_free():
 
 def test_delta_requires_rationals():
     with pytest.raises(ValueError):
-        delta_estimate(constant_module(3, ZZ))
+        delta_estimate(representable(0, 3, ZZ))
 
 
 def test_estimator_relations_on_random_instances():

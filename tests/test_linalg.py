@@ -1616,13 +1616,15 @@ def test_q_solve_matches_the_old_formula():
 def coker_cube_maps(seeds=range(12)):
     """(A, B, phi): cube complexes of gen_coker Q modules V at truncation 5
     and of their shifts SV, at every level, with the chain map V -> SV."""
+    from fihom import fih_chain_complex, shift_module
     from fihom.complexes import _cube_chain_map
     from fihom.generate import gen_coker
 
     for seed in seeds:
         V = gen_coker("quot:%d" % seed, ring=QQ, trunc=5).module
+        sd = shift_module(V)
         for n in range(V.truncation):
-            yield _cube_chain_map(V, n)
+            yield _cube_chain_map(V, n, sd, fih_chain_complex(V, n))
 
 
 def test_quotient_coords_match_old_on_cube_complexes():
