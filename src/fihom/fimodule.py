@@ -105,9 +105,6 @@ class FIModule:
     def transposition(self, n, i):
         return self.trans[n][i - 1]
 
-    def is_zero(self):
-        return all(d == 0 for d in self.dims)
-
     def __repr__(self):
         return "FIModule(%s, N=%d, dims=%s%s)" % (
             self.ring, self.truncation, list(self.dims),
@@ -142,48 +139,98 @@ _EMPTY_ROW = {-1: 0}
 
 def _arrays(m):
     """(cols, vals) with row i of m = {cols[i]: vals[i]}, or None when some
-    row of m holds two entries or more.
+    row of m holds two entries or more.  cols is a tuple; vals is None when
+    every entry of m is 1.
 
-    An empty row reads column -1, value 0, and both lists end with one more
-    such row as a sentinel: composing through column -1 reads the sentinel,
-    so an empty row stays empty in every product.
+    An empty row reads column -1, value 0, and both end with one more such
+    row as a sentinel: composing through column -1 reads the sentinel, so
+    an empty row stays empty in every product.  A value is read only where
+    its column is not -1.
     """
     rows = [r or _EMPTY_ROW for r in m.rows]
     rows.append(_EMPTY_ROW)
-    cols = [j for r in rows for j in r]
+    cols = tuple([j for r in rows for j in r])
     if len(cols) != len(rows):
         return None
-    return cols, [v for r in rows for v in r.values()]
+    vals = [v for r in rows for v in r.values()]
+    return cols, None if vals.count(1) == len(vals) - cols.count(-1) else vals
+
+
+def _gather(seq, idx):
+    """The tuple of seq[k] for k in idx, which is not empty."""
+    return operator.itemgetter(*idx)(seq) if len(idx) > 1 else (seq[idx[0]],)
 
 
 def _product(factors):
     """(cols, vals) of the product of factors given as arrays."""
     cols, vals = factors[0]
     for cb, vb in factors[1:]:
-        cols, vals = [cb[k] for k in cols], [x * vb[k] for x, k in zip(vals, cols)]
+        if vb is not None:
+            vb = _gather(vb, cols)
+            vals = vb if vals is None else [x * y for x, y in zip(vals, vb)]
+        cols = _gather(cb, cols)
     return cols, vals
+
+
+def _rows_of(side):
+    """The sparse rows of a side of a relation, as `_side` gives it."""
+    if isinstance(side, list):
+        return side
+    cols, vals = side
+    return [{c: 1 if vals is None else vals[i]} if c >= 0 else {}
+            for i, c in enumerate(cols[:-1])]
+
+
+def _side(factors, arrays):
+    """The product of factors: as arrays (a tuple) when each has one entry
+    per row, else as the list of its sparse rows.
+
+    When exactly one factor M has rows of two entries or more, P @ M @ Q is
+    built without a product: the one-entry factors P on its left gather
+    M's rows and scale them by P's values, and those Q on its right
+    relabel M's columns, if Q's nonempty rows have distinct columns.
+    Otherwise the matrices are multiplied.
+    """
+    arrs = [arrays[id(m)] for m in factors]
+    if None not in arrs:
+        return _product(arrs)
+    t = arrs.index(None)
+    right = arrs[t + 1:]
+    if right:
+        right = None if None in right else _product(right)
+        # the column sentinel -1 is counted once among the distinct columns
+        if right is None or len(set(right[0])) != len(right[0]) - right[0].count(-1) + 1:
+            return list(reduce(operator.matmul, factors).rows)
+    rows = factors[t].rows
+    if t:
+        cols, vals = _product(arrs[:t])
+        rows = _gather(rows + ({},), cols)[:-1]
+        if vals is not None:
+            rows = [r if x == 1 else {j: x * v for j, v in r.items()}
+                    for r, x in zip(rows, vals)]
+    if right:
+        cols, vals = right
+        rows = [{c: v if vals is None else v * vals[k]
+                 for k, v in r.items() if (c := cols[k]) >= 0} for r in rows]
+    return list(rows)
 
 
 def _violations(relations):
     """Messages of the relations (message, lhs, rhs) whose two products of
     matrices differ, in list order.
 
-    When every factor of a relation holds at most one entry per row, its
-    products are composed on `_arrays`, read once per matrix; zeros are
-    never stored, so a composed entry is never zero and the arrays agree
-    exactly when the matrices do.  Otherwise the matrices are multiplied.
+    Each side is built by `_side`: on `_arrays`, read once per matrix, when
+    every factor holds at most one entry per row, by gathers when one factor
+    holds more, and by products otherwise.  Zeros are never stored, so a
+    composed entry is never zero, and two sides that differ as arrays or
+    rows are compared as rows.
     """
     mats = {id(m): m for _, lhs, rhs in relations for m in lhs + rhs}
     arrays = {k: _arrays(m) for k, m in mats.items()}
     bad = []
     for msg, lhs, rhs in relations:
-        a = [arrays[id(m)] for m in lhs]
-        b = [arrays[id(m)] for m in rhs]
-        if None in a or None in b:
-            differ = reduce(operator.matmul, lhs) != reduce(operator.matmul, rhs)
-        else:
-            differ = _product(a) != _product(b)
-        if differ:
+        a, b = _side(lhs, arrays), _side(rhs, arrays)
+        if a != b and _rows_of(a) != _rows_of(b):
             bad.append(msg)
     return bad
 

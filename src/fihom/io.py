@@ -112,6 +112,20 @@ class _Cursor:
         self.pos += 1
         return s
 
+    def block(self, count):
+        """(line number, text) of each of the next `count` content lines,
+        as `next` would read them, drawn one at a time by one loop."""
+        raw, pos, end = self.raw, self.pos, len(self.raw)
+        while count:
+            if pos == end:
+                raise ParseError(end, "unexpected end of input")
+            s = raw[pos].strip()
+            pos += 1
+            if s and s[0] != "#":
+                count -= 1
+                yield pos, s
+        self.pos = pos
+
     @property
     def line_no(self):
         return self.pos + 1
@@ -126,28 +140,47 @@ def _q_entry(tok):
 
 
 def _read_matrix(cur, ring, nrows, ncols, what):
-    """nrows lines of ncols entries, each converted once into sparse rows."""
+    """nrows lines of ncols entries, each converted once into sparse rows.
+
+    A row of one-character entries that are all `0` but at most one `1`,
+    as every row of a permutation matrix is, is read by string methods;
+    every other row token by token."""
     if ncols == 0:
         return Matrix.zeros(ring, nrows, 0)
     conv = int if ring == ZZ else _q_entry
+    width, gaps = 2 * ncols - 1, " " * (ncols - 1)
     rows = []
-    for _ in range(nrows):
-        toks = cur.next().split()
-        if len(toks) != ncols:
-            raise ParseError(cur.line_no - 1,
-                             "%s: expected %d entries, got %d" % (what, ncols, len(toks)))
-        row = {}
-        for j, tok in enumerate(toks):
-            if tok == "0":
-                continue  # the common zero, unparsed; other spellings convert
-            try:
-                x = conv(tok)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(cur.line_no - 1, "bad %s entry %r" % (ring, tok))
-            if x:
-                row[j] = x
-        rows.append(row)
+    for line_no, line in cur.block(nrows):
+        if len(line) == width and line[1::2] == gaps:
+            chars = line[::2]
+            zeros = chars.count("0")
+            if zeros == ncols:
+                rows.append({})
+                continue
+            if zeros == ncols - 1 and (j := chars.find("1")) >= 0:
+                rows.append({j: 1})
+                continue
+        rows.append(_read_row(line, line_no, ring, conv, ncols, what))
     return Matrix(ring, nrows, ncols, rows)
+
+
+def _read_row(line, line_no, ring, conv, ncols, what):
+    """The sparse row of ncols whitespace-separated entries, token by token."""
+    toks = line.split()
+    if len(toks) != ncols:
+        raise ParseError(line_no,
+                         "%s: expected %d entries, got %d" % (what, ncols, len(toks)))
+    row = {}
+    for j, tok in enumerate(toks):
+        if tok == "0":
+            continue  # the common zero, unparsed; other spellings convert
+        try:
+            x = conv(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(line_no, "bad %s entry %r" % (ring, tok))
+        if x:
+            row[j] = x
+    return row
 
 
 def _expect(cur, key):

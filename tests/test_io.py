@@ -13,6 +13,7 @@ from fihom import (
     ValidationError,
     ZZ,
     complex_from_morphisms,
+    direct_sum,
     free_morphism,
     generate,
     parse,
@@ -20,15 +21,19 @@ from fihom import (
     serialize,
     validate,
 )
+from fihom import io as fio
 from fihom.cli import EXIT_FAIL, main
 from fihom.generate import gen_coker, gen_complex, gen_free
+from fihom.linalg import Matrix
 
 
 def matrices(x):
-    """Every matrix of a module or complex: the iotas, then the differentials."""
+    """Every matrix of a module or complex: the iotas and transpositions of
+    each module, then the differentials."""
     mods = x.modules if isinstance(x, FIComplex) else [x]
     diffs = x.diffs if isinstance(x, FIComplex) else []
-    return [M for V in mods for M in V.iota] + [M for d in diffs for M in d.levels]
+    return ([M for V in mods for M in V.iota + sum(V.trans, ())]
+            + [M for d in diffs for M in d.levels])
 
 
 def round_trip(x):
@@ -333,3 +338,172 @@ def test_generate_size_guards():
             generate(kind, 1, trunc=0)
     with pytest.raises(ValueError):
         gen_free(1, trunc=3, dims=(1, 1, 1, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# one-character rows by string methods, against the per-token reader
+
+
+def old_read_matrix(cur, ring, nrows, ncols, what):
+    """The reference: every row read token by token through `next`."""
+    if ncols == 0:
+        return Matrix.zeros(ring, nrows, 0)
+    conv = int if ring == ZZ else fio._q_entry
+    rows = []
+    for _ in range(nrows):
+        toks = cur.next().split()
+        if len(toks) != ncols:
+            raise ParseError(cur.line_no - 1,
+                             "%s: expected %d entries, got %d" % (what, ncols, len(toks)))
+        row = {}
+        for j, tok in enumerate(toks):
+            if tok == "0":
+                continue
+            try:
+                x = conv(tok)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(cur.line_no - 1, "bad %s entry %r" % (ring, tok))
+            if x:
+                row[j] = x
+        rows.append(row)
+    return Matrix(ring, nrows, ncols, rows)
+
+
+def entries(M):
+    """Each row of M as its (column, value, type of value) list, in key order."""
+    return [[(j, v, type(v)) for j, v in r.items()] for r in M.rows]
+
+
+def assert_readers_agree(monkeypatch, text):
+    new = matrices(parse(text))
+    with monkeypatch.context() as m:
+        m.setattr(fio, "_read_matrix", old_read_matrix)
+        old = matrices(parse(text))
+    assert new == old
+    assert [entries(M) for M in new] == [entries(M) for M in old]
+    assert all(type(v) is int for M in new for r in M.rows for v in r.values()
+               if v == int(v))
+    return new
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_the_row_reader_matches_the_per_token_reader(monkeypatch, ring):
+    read = 0
+    for seed in range(4):
+        V, _ = gen_free("oracle:%d" % seed, ring=ring, trunc=5)
+        C = gen_coker("oracle:%d" % seed, ring=ring, trunc=4).module
+        W = gen_complex("oracle:%d" % seed, ring=ring, trunc=4)
+        for x in (V, C, W):
+            read += len(assert_readers_agree(monkeypatch, serialize(x)))
+    assert read > 200
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("ms, N", [((0, 1, 2), 7), ((3,), 6), ((1, 1, 2), 6)])
+def test_the_row_reader_matches_on_sums_of_representables(monkeypatch, ring, ms, N):
+    V = direct_sum(*[representable(m, N, ring) for m in ms])
+    mats = assert_readers_agree(monkeypatch, serialize(V))
+    assert mats == matrices(V)
+
+
+# one row of a three-column block: spellings that must take the token path
+# (U+0661 is a digit one that int() reads), wrong entry counts, and string
+# method rows with whitespace around them
+GENERAL_ROWS = ["0\t1\t0", "0  1 0", "0 1  0", "-1 0 0", "2 0 0", "00 1 0", "-0 0 1",
+                "+1 0 0", "0 0 1/1", "1 1 0", "0 1 1", "0 \u0661 0", "x 0 0", "0 - 0",
+                "0 1", "0 1 0 0", "1/2 0 0", "0 0 2/4", " 0 1 0", "0 1 0 \t"]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("row", GENERAL_ROWS + ["0 1 0\r", "0 0 0\r"])
+def test_a_hand_written_row_reads_as_the_per_token_reader_reads_it(ring, row):
+    text = "\n".join(["# a block", "0 0 1", "", row, "1 0 0"]) + "\n"
+    results = []
+    for read in (fio._read_matrix, old_read_matrix):
+        try:
+            M = read(fio._Cursor(text), ring, 3, 3, "m")
+            results.append(entries(M))
+        except ParseError as e:
+            results.append(str(e))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("row", ["1", "0", "-1", "2", "00", "+1", "1/1", "x", "1 0", "1\r"])
+def test_a_one_column_row_reads_as_the_per_token_reader_reads_it(ring, row):
+    text = "1\n%s\n0\n" % row
+    results = []
+    for read in (fio._read_matrix, old_read_matrix):
+        try:
+            results.append(entries(read(fio._Cursor(text), ring, 3, 1, "m")))
+        except ParseError as e:
+            results.append(str(e))
+    assert results[0] == results[1]
+
+
+def test_crlf_line_ends_read_as_lf():
+    text = serialize(representable(2, 4, QQ))
+    assert serialize(parse(text.replace("\n", "\r\n"))) == text
+
+
+def _pinned_cases():
+    """(id, text) of files whose matrix blocks are broken in one place."""
+    base = serialize(representable(1, 3, ZZ)).splitlines()
+    i, j = base.index("trans 3 1"), base.index("trans 3 2")
+    yield "short-after-comments", "\n".join(
+        base[:i + 2] + ["", "# note", "   ", "#", "0 1"] + base[i + 3:]) + "\n"
+    for tok in ("x", "-"):
+        for ring in (ZZ, QQ):
+            lines = serialize(representable(1, 3, ring)).splitlines()
+            yield "bad-%s-%s" % (tok, ring), "\n".join(
+                lines[:i + 2] + ["0 %s 0" % tok] + lines[i + 3:]) + "\n"
+    yield "cut", "\n".join(base[:j + 2]) + "\n"
+    yield "cut-comment", "\n".join(base[:j + 2] + ["# more", ""]) + "\n"
+    yield "cut-no-newline", "\n".join(base[:j + 2])
+    yield "bad-then-cut", "\n".join(base[:j + 1] + ["1 x 0"]) + "\n"
+
+
+# the messages the per-token reader gave, byte for byte
+PINNED_MESSAGES = {
+    "short-after-comments": "line 23: trans 3 1: expected 3 entries, got 2",
+    "bad-x-Z": "line 19: bad Z entry 'x'",
+    "bad-x-Q": "line 19: bad Q entry 'x'",
+    "bad---Z": "line 19: bad Z entry '-'",
+    "bad---Q": "line 19: bad Q entry '-'",
+    "cut": "line 23: unexpected end of input",
+    "cut-comment": "line 25: unexpected end of input",
+    "cut-no-newline": "line 22: unexpected end of input",
+    "bad-then-cut": "line 22: bad Z entry 'x'",
+}
+
+
+def test_matrix_block_parse_errors_are_pinned_byte_for_byte():
+    seen = []
+    for name, text in _pinned_cases():
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == PINNED_MESSAGES[name]
+        assert str(err.value) == "line %d: %s" % (err.value.line_no,
+                                                   PINNED_MESSAGES[name].split(": ", 1)[1])
+        seen.append(name)
+    assert sorted(seen) == sorted(PINNED_MESSAGES)
+
+
+def test_a_rational_permutation_file_converts_no_entry(monkeypatch):
+    text = serialize(direct_sum(representable(2, 5, QQ), representable(1, 5, QQ)))
+    calls = []
+    q_entry = fio._q_entry
+
+    def spy(tok):
+        calls.append(tok)
+        return q_entry(tok)
+
+    monkeypatch.setattr(fio, "_q_entry", spy)
+    V = parse(text)
+    assert calls == []
+    assert serialize(V) == text
+    lines = text.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("1 0 "))
+    lines[row] = "1/1" + lines[row][1:]
+    assert parse("\n".join(lines) + "\n") == V
+    assert calls == ["1/1"]
