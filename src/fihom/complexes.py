@@ -22,7 +22,8 @@ from .homology import (
     fih_chain_complex,
 )
 from .linalg import (
-    Matrix, QQ, QuotientCoords, _ChainComplex, _put_block, block_matrix, rank,
+    Matrix, QQ, QuotientCoords, _ChainComplex, _entries, _put_entries, block_matrix,
+    rank,
 )
 
 
@@ -169,8 +170,9 @@ def _cube_chain_map(V, n, sd, A):
     phi = []
     for q in range(n + 1):
         rows = [{} for _ in range(B.size(q))]
+        nat = _entries(sd.natural.levels[n - q])
         for S, off in A.offsets[q].items():
-            _put_block(rows, B.offsets[q][S], off, sd.natural.levels[n - q])
+            _put_entries(rows, B.offsets[q][S], off, nat)
         phi.append(Matrix(V.ring, B.size(q), A.size(q), rows))
     return A, B, tuple(phi)
 

@@ -24,8 +24,8 @@ from math import factorial
 from typing import Optional
 
 from .linalg import (
-    AbelianClass, Matrix, QQ, ZZ, QuotientCoords, _ChainComplex, _put_block,
-    _snf, block_matrix,
+    AbelianClass, Matrix, QQ, ZZ, QuotientCoords, _ChainComplex, _entries,
+    _put_entries, _snf, block_matrix,
 )
 
 
@@ -332,8 +332,29 @@ class _Injections:
         return self._times(V.transposition(b, v + 1), g, b)
 
     def _times(self, m, g, c):
-        """m @ V(g) for g into c_, without a product when g is the identity."""
-        return m if g == tuple(range(c)) else m @ self(g, c)
+        """m @ V(g) for g into c_, without a product when g is the identity.
+
+        When every row of m holds at most one entry, as iota and the
+        transpositions of a free module do, the product is a row gather:
+        row k of V(g) copied where m holds an int 1 at column k, else
+        scaled entry by entry, with the values, key order and entry types
+        of `Matrix.__matmul__`."""
+        if g == tuple(range(c)):
+            return m
+        vg = self(g, c)
+        grows, rows = vg.rows, []
+        for r in m.rows:
+            if len(r) > 1:
+                return m @ vg
+            if not r:
+                rows.append({})
+                continue
+            (k, v), = r.items()
+            if v == 1 and type(v) is int:
+                rows.append(dict(grows[k]))
+            else:
+                rows.append({j: v * w for j, w in grows[k].items()})
+        return Matrix(m.ring, m.nrows, vg.ncols, rows)
 
 
 def _face(k, pos):
@@ -415,7 +436,7 @@ def free_fi_module(X: FBData, name=""):
                 if in_a and in_b:
                     # internal adjacent swap at the rank of a within S
                     r = S.index(a)
-                    _put_block(rows, off, off, X.transposition(k, r + 1))
+                    _put_entries(rows, off, off, _entries(X.transposition(k, r + 1)))
                 elif in_a != in_b:
                     T = tuple(sorted(set(S) ^ {a, b}))
                     toff = layout[T]
@@ -728,13 +749,14 @@ def _poset_presentation(V, n, K):
     coff = 0
     for S, T, pos in pairs:
         k = len(S)
-        _put_block(rows, offset[T], coff, ev(_face(k, pos), k + 1))
-        _put_block(rows, offset[S], coff, Matrix.identity(ring, V.dims[k]), True)
+        _put_entries(rows, offset[T], coff, _entries(ev(_face(k, pos), k + 1)))
+        _put_entries(rows, offset[S], coff,
+                     _entries(Matrix.identity(ring, V.dims[k]), True))
         coff += V.dims[k]
     P = Matrix(ring, total, coff, rows)
     crows = [{} for _ in range(V.dims[n])]
     for S, off in offset.items():
-        _put_block(crows, 0, off, ev(S, n))
+        _put_entries(crows, 0, off, _entries(ev(S, n)))
     c = Matrix(ring, V.dims[n], total, crows)
     return P, c
 

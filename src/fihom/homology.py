@@ -18,7 +18,9 @@ from functools import partial
 from .fimodule import (
     FIModule, _Injections, _layout, face_matrices, fi_coker, shift_module,
 )
-from .linalg import AbelianClass, Matrix, QQ, _ChainComplex, _put_block, rank
+from .linalg import (
+    AbelianClass, Matrix, QQ, _ChainComplex, _entries, _put_entries, rank,
+)
 
 
 def subset_layout(V, n, size):
@@ -99,8 +101,9 @@ def _cube_total(cube, m, skip=()):
     """The rows of D_m: T_m -> T_{m-1} of the `_Cube` `cube`, as a list.
 
     Each face block (sign (-1)^pos) and del block (sign (-1)^p) is written
-    once.  The rows whose index is in `skip` are left None, and nothing is
-    written into them.
+    once, from its signed entry list, which is made once per call for all
+    the subsets S.  The rows whose index is in `skip` are left None, and
+    nothing is written into them.
     """
     n, q_min = cube.level, cube.q_min
     size = cube.sizes[m - 1]
@@ -109,18 +112,18 @@ def _cube_total(cube, m, skip=()):
     for q in range(max(q_min, m - n), min(cube.q_max, m) + 1):
         p = m - q
         t = q - q_min
-        faces = face_matrices(cube.modules[t], n - p, cube.evs[t]) if p else ()
-        dl = cube.del_at(q, n - p) if q > q_min else None
+        faces = [_entries(f, pos % 2 == 1) for pos, f in enumerate(
+            face_matrices(cube.modules[t], n - p, cube.evs[t]))] if p else ()
+        dl = _entries(cube.del_at(q, n - p), p % 2 == 1) if q > q_min else None
         face_tgt = cube.offsets.get((p - 1, q))
         del_tgt = cube.offsets.get((p, q - 1))
         for S, soff in cube.offsets[(p, q)].items():
             for i in range(n):
                 if i not in S:
                     T = tuple(sorted(S + (i,)))
-                    pos = T.index(i)
-                    _put_block(rows, face_tgt[T], soff, faces[pos], pos % 2 == 1)
+                    _put_entries(rows, face_tgt[T], soff, faces[T.index(i)])
             if dl is not None:
-                _put_block(rows, del_tgt[S], soff, dl, p % 2 == 1)
+                _put_entries(rows, del_tgt[S], soff, dl)
     return rows
 
 

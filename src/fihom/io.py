@@ -249,7 +249,11 @@ def _parse_module_body(cur, terminator):
 
 
 def parse_module(text) -> FIModule:
-    cur = _Cursor(text)
+    return _module_from(_Cursor(text))
+
+
+def _module_from(cur):
+    """The module read by `cur` from its 'fimodule' header line on."""
     _expect(cur, "fimodule")
     V = _parse_module_body(cur, "end")
     bad = validate(V)
@@ -259,7 +263,11 @@ def parse_module(text) -> FIModule:
 
 
 def parse_complex(text) -> FIComplex:
-    cur = _Cursor(text)
+    return _complex_from(_Cursor(text))
+
+
+def _complex_from(cur):
+    """The complex read by `cur` from its 'ficomplex' header line on."""
     _expect(cur, "ficomplex")
     ring = _value(cur, "ring")
     if ring not in RINGS:
@@ -308,7 +316,7 @@ def parse(source) -> object:
     cur = _Cursor(text)
     head = cur.peek()
     if head == "fimodule":
-        return parse_module(text)
+        return _module_from(cur)
     if head == "ficomplex":
-        return parse_complex(text)
+        return _complex_from(cur)
     raise ParseError(cur.line_no, "expected 'fimodule' or 'ficomplex' header")

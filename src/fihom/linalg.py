@@ -243,19 +243,26 @@ class Matrix:
         return "Matrix(%s, %dx%d, nnz=%d)" % (self.ring, self.nrows, self.ncols, self.nnz())
 
 
-def _put_block(rows, r0, c0, blk, negate=False):
-    """rows[r0 + i][c0 + j] = blk[i, j], or -blk[i, j], on sparse rows.
+def _entries(blk, negate=False):
+    """The entries (i, j, v) of blk, or (i, j, -v), row by row in the
+    order each row holds them, for `_put_entries` to write."""
+    if negate:
+        return [(i, j, -v) for i, r in enumerate(blk.rows) for j, v in r.items()]
+    return [(i, j, v) for i, r in enumerate(blk.rows) for j, v in r.items()]
+
+
+def _put_entries(rows, r0, c0, entries):
+    """rows[r0 + i][c0 + j] = v for each (i, j, v) of `entries` (`_entries`
+    of a block), on sparse rows.
 
     Only writes: the caller places blocks that share no entry with each
     other or with what the rows hold, so nothing is read, added or tested.
     A row left None is not written: the caller builds only the other rows.
     """
-    for i, r in enumerate(blk.rows):
+    for i, j, v in entries:
         tgt = rows[r0 + i]
-        if tgt is None:
-            continue
-        for j, v in r.items():
-            tgt[c0 + j] = -v if negate else v
+        if tgt is not None:
+            tgt[c0 + j] = v
 
 
 def block_matrix(ring, row_dims, col_dims, blocks):
@@ -276,7 +283,7 @@ def block_matrix(ring, row_dims, col_dims, blocks):
         if blk.shape != (row_dims[bi], col_dims[bj]):
             raise ValueError("block (%d,%d) has shape %s, expected %s"
                              % (bi, bj, blk.shape, (row_dims[bi], col_dims[bj])))
-        _put_block(rows, roff[bi], coff[bj], blk)
+        _put_entries(rows, roff[bi], coff[bj], _entries(blk))
     return Matrix(ring, roff[-1], coff[-1], rows)
 
 
@@ -313,9 +320,14 @@ def _own_int_rows(rows):
 def _column_index(rows):
     """{col: set of row keys holding it} for the sparse rows {i: {j: v}}."""
     cols = {}
+    get = cols.get
     for i, r in rows.items():
         for j in r:
-            cols.setdefault(j, set()).add(i)
+            s = get(j)
+            if s is None:
+                cols[j] = {i}
+            else:
+                s.add(i)
     return cols
 
 
@@ -326,8 +338,11 @@ def _clear(rows, cols, pi, pj, queue):
     for a unit pivot pv = +-1, else (pv/g) r - (a/g) prow, g = gcd(pv, a),
     divided by its content; either way a nonzero multiple of the row that
     Gauss-Jordan over Q leaves.  `cols` follows fills and cancellations,
-    vanished rows are dropped, and entries left at +-1 go onto `queue`.
+    vanished rows are dropped, and entries left at +-1 go onto `queue` as
+    (row key, column).  A column held by the pivot row alone returns at once.
     """
+    if len(cols[pj]) == 1:
+        return
     r = rows[pi]
     pv = r[pj]
     unit = pv in (1, -1)
@@ -375,15 +390,33 @@ def _eliminate(rows, units_only):
     `units_only`, an empty queue takes a non-unit pivot (shortest row,
     smallest entry), which keeps the rank, not the divisors.  Returns
     (pivot columns in the order taken, residue rows).
+
+    The queue is the row keys in the order handed over, popped from the
+    end, under a stack of the (row key, column) pairs that `_clear` leaves
+    at +-1, which pops first.  A row key takes the row's last entry that is
+    +-1 then.  An entry that became +-1 after the rows were handed over was
+    stacked and popped before the key, so the pivots are those of one stack
+    of every (row key, column) at +-1, in row and entry order.
     """
     cols = _column_index(rows)
-    queue = [(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)]
+    keys = list(rows)
+    queue = []
     pivots = []
     while True:
         if queue:
             pi, pj = queue.pop()
             r = rows.get(pi)
             if r is None or r.get(pj) not in (1, -1):
+                continue
+        elif keys:
+            pi = keys.pop()
+            r = rows.get(pi)
+            if r is None:
+                continue
+            for pj, v in reversed(r.items()):
+                if v in (1, -1):
+                    break
+            else:
                 continue
         elif rows and not units_only:
             pi = min(rows, key=lambda i: len(rows[i]))

@@ -310,17 +310,18 @@ def test_total_complex_builds_no_cube_complex_and_checks_once(monkeypatch):
 def test_block_writes_never_overlap(monkeypatch):
     """Every caller of the block writer places blocks on fresh entries."""
     callers = set()
-    real = linalg._put_block
+    real = linalg._put_entries
 
-    def checked(rows, r0, c0, blk, negate=False):
+    def checked(rows, r0, c0, entries):
         callers.add(sys._getframe(1).f_code.co_name)
-        for i, r in enumerate(blk.rows):
-            hit = set(rows[r0 + i]) & {c0 + j for j in r}
-            assert not hit, "block write over existing entries %s" % sorted(hit)
-        real(rows, r0, c0, blk, negate)
+        cells = [(r0 + i, c0 + j) for i, j, _ in entries]
+        assert len(set(cells)) == len(cells), "one block writes an entry twice"
+        hit = [(i, j) for i, j in cells if j in rows[i]]
+        assert not hit, "block write over existing entries %s" % sorted(hit)
+        real(rows, r0, c0, entries)
 
     for mod in (linalg, homology, fimodule, complexes):
-        monkeypatch.setattr(mod, "_put_block", checked)
+        monkeypatch.setattr(mod, "_put_entries", checked)
     import random
 
     X = random_fbdata(random.Random("overlap"), QQ, 4)

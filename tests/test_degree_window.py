@@ -217,20 +217,19 @@ def test_a_broken_complex_raises_like_the_full_build():
 def test_degrees_with_kmax_1_builds_d1_and_d2_only(monkeypatch):
     V = representable(2, 6, QQ)
     built, written = [], [0]
-    build, put = homology.fih_chain_complex, homology._put_block
+    build, put = homology.fih_chain_complex, homology._put_entries
 
     def tracked(*args):
         cpx = build(*args)
         built.append(cpx)
         return cpx
 
-    def counted(rows, r0, c0, blk, negate=False):
-        put(rows, r0, c0, blk, negate)
-        written[0] += sum(len(r) for i, r in enumerate(blk.rows)
-                          if rows[r0 + i] is not None)
+    def counted(rows, r0, c0, entries):
+        put(rows, r0, c0, entries)
+        written[0] += sum(rows[r0 + i] is not None for i, _, _ in entries)
 
     monkeypatch.setattr(homology, "fih_chain_complex", tracked)
-    monkeypatch.setattr(homology, "_put_block", counted)
+    monkeypatch.setattr(homology, "_put_entries", counted)
     degrees(V, 1)
     monkeypatch.undo()
     assert [c.level for c in built] == list(range(V.truncation + 1))

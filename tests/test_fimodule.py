@@ -15,6 +15,7 @@ from fihom import (
     QQ,
     ZZ,
     colim_compare,
+    degrees,
     direct_sum,
     fi_coker,
     free_fi_module,
@@ -209,6 +210,75 @@ def test_every_permutation_matches_old_permutation_matrix():
         for perm in permutations(range(4)):
             assert _Injections(V)(perm, 4) \
                 == old_permutation_matrix(V, 4, perm)
+
+
+class OldInjections(_Injections):
+    """`_Injections` with every step a `Matrix.__matmul__`, as it stood
+    before one-entry rows were gathered."""
+
+    def _times(self, m, g, c):
+        return m if g == tuple(range(c)) else m @ self(g, c)
+
+
+def stored(M):
+    """M's rows as stored: every entry with its type, in key order."""
+    return [[(j, v, type(v)) for j, v in r.items()] for r in M.rows]
+
+
+def remade(V, entry):
+    """V with every stored entry v of its iotas replaced by entry(v); the
+    transpositions keep theirs, so the two kinds of entry meet in products."""
+    iota = tuple(Matrix(M.ring, M.nrows, M.ncols,
+                        [{j: entry(v) for j, v in r.items()} for r in M.rows])
+                 for M in V.iota)
+    return FIModule(V.ring, V.truncation, V.dims, iota, V.trans)
+
+
+def gather_test_modules():
+    for ring in (ZZ, QQ):
+        yield representable(2, 5, ring)
+        yield shift_module(representable(3, 5, ring)).module
+        for seed in range(6):  # seed 5 holds rows out of key order
+            yield gen_coker("gather:%d" % seed, ring=ring, trunc=4).module
+    one = representable(2, 5, QQ)
+    yield remade(one, Fraction)  # a stored Fraction(1, 1) times int entries
+    yield remade(one, lambda v: Fraction(-2, 3) * v)
+    yield remade(representable(1, 5, ZZ), lambda v: -3 * v)
+
+
+def test_one_entry_rows_gather_as_the_product(monkeypatch):
+    """Every V(f) built by gathering one-entry rows equals the product
+    chain entry for entry: values, key order and entry types, with fewer
+    products."""
+    from itertools import permutations
+
+    calls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda x, y: calls.append(None) or matmul(x, y))
+    mods = list(gather_test_modules())
+    assert any(not r for V in mods for m in V.iota for r in m.rows)
+    assert any(len(r) > 1 for V in mods for m in V.iota for r in m.rows)
+    built, products = [], []
+    for kind in (_Injections, OldInjections):
+        del calls[:]
+        built.append([[stored(ev(f, b)) for b in range(V.truncation + 1)
+                       for a in range(b + 1) for f in permutations(range(b), a)]
+                      for V, ev in ((V, kind(V)) for V in mods)])
+        products.append(len(calls))
+    assert built[0] == built[1]
+    assert 0 < products[0] < products[1]
+
+
+def test_a_degree_walk_multiplies_only_for_its_square_checks(monkeypatch):
+    """The faces of a free module are all gathered: the walk's only
+    products are the d_1 d_2 checks, one per level from 2 up."""
+    calls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda x, y: calls.append(None) or matmul(x, y))
+    degrees(representable(2, 6, ZZ), 1)
+    assert len(calls) == 5
 
 
 def test_free_morphism_makes_one_product_per_injection(monkeypatch):

@@ -507,3 +507,27 @@ def test_a_rational_permutation_file_converts_no_entry(monkeypatch):
     lines[row] = "1/1" + lines[row][1:]
     assert parse("\n".join(lines) + "\n") == V
     assert calls == ["1/1"]
+
+
+def test_parse_splits_each_input_once(monkeypatch, tmp_path):
+    """`parse` reads the body with the cursor it peeked the header with."""
+    made = []
+    cursor = fio._Cursor
+
+    class Counted(cursor):
+        def __init__(self, text):
+            made.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(fio, "_Cursor", Counted)
+    path = tmp_path / "complex.fic"
+    path.write_text(HEADED_COMPLEX)
+    for source in ("# a comment\n\n" + HEADED_MODULE, HEADED_COMPLEX, str(path)):
+        del made[:]
+        parse(source)
+        assert len(made) == 1
+    for text, parse_one in ((HEADED_MODULE, fio.parse_module),
+                            (HEADED_COMPLEX, fio.parse_complex)):
+        del made[:]
+        parse_one(text)
+        assert made == [text]

@@ -876,6 +876,114 @@ def test_unit_mode_residue_is_the_old_peel():
         assert (len(piv), rows) == old_unit_peel(M)
 
 
+# `_eliminate` as it stood with a queue of every (row, column) at +-1, and
+# the `_clear` it called: the oracle for the queue of row keys.
+
+
+def old_clear(rows, cols, pi, pj, queue, fills):
+    r = rows[pi]
+    pv = r[pj]
+    unit = pv in (1, -1)
+    for i in list(cols[pj]):
+        if i == pi:
+            continue
+        ri = rows[i]
+        if unit:
+            q = ri[pj] * pv
+        else:
+            g = gcd(pv, ri[pj])
+            q = ri[pj] // g
+            s = pv // g
+            if s != 1:
+                for j in ri:
+                    ri[j] *= s
+        for j, v in r.items():
+            w = ri.get(j, 0) - q * v
+            if w:
+                if j not in ri:
+                    cols.setdefault(j, set()).add(i)
+                    fills.append((i, j))
+                ri[j] = w
+                if w in (1, -1):
+                    queue.append((i, j))
+            elif j in ri:
+                del ri[j]
+                cols[j].discard(i)
+        if not ri:
+            del rows[i]
+        elif not unit:
+            g = gcd(*ri.values())
+            if g > 1:
+                for j in ri:
+                    ri[j] //= g
+                queue.extend((i, j) for j, v in ri.items() if v in (1, -1))
+
+
+def old_eliminate(rows, units_only, fills):
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    queue = [(i, j) for i, r in rows.items() for j, v in r.items() if v in (1, -1)]
+    pivots = []
+    while True:
+        if queue:
+            pi, pj = queue.pop()
+            r = rows.get(pi)
+            if r is None or r.get(pj) not in (1, -1):
+                continue
+        elif rows and not units_only:
+            pi = min(rows, key=lambda i: len(rows[i]))
+            r = rows[pi]
+            pj = min(r, key=lambda j: abs(r[j]))
+        else:
+            return pivots, rows
+        old_clear(rows, cols, pi, pj, queue, fills)
+        for j in r:
+            cols[j].discard(pi)
+        del rows[pi]
+        pivots.append(pj)
+
+
+def elimination_rows(seed):
+    """Seeded sparse integer rows {key: row}, 2..12 by 2..12, keys shuffled,
+    entries drawn from {+-1, +-2, 3, -4, 6}, about one in three nonzero."""
+    rng = random.Random("queue-oracle:%d" % seed)
+    nr, nc = rng.randint(2, 12), rng.randint(2, 12)
+    keys = rng.sample(range(3 * nr), nr)
+    rows = {}
+    for i in keys:
+        r = {}
+        for j in rng.sample(range(nc), nc):
+            if rng.random() < 0.35:
+                r[j] = rng.choice((1, -1, 1, -1, 2, -2, 3, -4, 6))
+        if r:
+            rows[i] = r
+    return rows
+
+
+def test_the_row_key_queue_pivots_as_the_pair_queue():
+    """`_eliminate` takes the pivots of the old queue of (row, column)
+    pairs, in the same order, and leaves the same residue: the same row
+    keys in the same order, each row with the same entries in the same
+    order, in both modes."""
+    fills, filled, stuck, non_unit = [], 0, 0, 0
+    for seed in range(2000):
+        rows = elimination_rows(seed)
+        got = {}
+        for units_only in (True, False):
+            want = old_eliminate({i: dict(r) for i, r in rows.items()}, units_only, fills)
+            got[units_only] = _eliminate({i: dict(r) for i, r in rows.items()}, units_only)
+            assert got[units_only][0] == want[0], seed
+            assert ([(i, list(r.items())) for i, r in got[units_only][1].items()]
+                    == [(i, list(r.items())) for i, r in want[1].items()]), seed
+        filled += bool(fills)
+        stuck += bool(got[True][1])  # the peel stops at a non-unit residue
+        non_unit += len(got[False][0]) > len(got[True][0])
+        del fills[:]
+    assert min(filled, stuck, non_unit) > 500, (filled, stuck, non_unit)
+
+
 # ---------------------------------------------------------------------------
 # the modular divisors and the reduced transforms against the dense Smith form
 

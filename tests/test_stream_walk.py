@@ -164,19 +164,18 @@ def test_the_walk_writes_no_entry_into_rows_the_pivots_below_remove(monkeypatch)
     for V in (representable(2, 6, ZZ), permuted(representable(2, 6, QQ), "writes"),
               direct_sum(doubling_module(6), representable(1, 6, ZZ))):
         walked, written = [], [0]
-        build, put = homology.fih_chain_complex, homology._put_block
+        build, put = homology.fih_chain_complex, homology._put_entries
 
         def tracked(*args):
             walked.append(build(*args))
             return walked[-1]
 
-        def counted(rows, r0, c0, blk, negate=False):
-            put(rows, r0, c0, blk, negate)
-            written[0] += sum(len(r) for i, r in enumerate(blk.rows)
-                              if rows[r0 + i] is not None)
+        def counted(rows, r0, c0, entries):
+            put(rows, r0, c0, entries)
+            written[0] += sum(rows[r0 + i] is not None for i, _, _ in entries)
 
         monkeypatch.setattr(homology, "fih_chain_complex", tracked)
-        monkeypatch.setattr(homology, "_put_block", counted)
+        monkeypatch.setattr(homology, "_put_entries", counted)
         degrees(V, 3)
         monkeypatch.undo()
         want = whole = 0
